@@ -647,6 +647,11 @@ void ConcurrentSim::process_gate(GateId g) {
 }
 
 void ConcurrentSim::settle() {
+  finish_clock();
+  propagate();
+}
+
+void ConcurrentSim::propagate() {
   queue_.drain_levels(
       [this](const GateId* gates, std::size_t n) { process_level(gates, n); });
 }
@@ -788,6 +793,7 @@ void ConcurrentSim::reset(Val ff_init, bool clear_status) {
   salvage_.clear();
   queue_.clear();
   good_oracle_ = nullptr;  // a stale slab never survives a rebuild
+  masters_pending_ = false;
   if (opt_.compact_pool || opt_.max_elements != 0) {
     // Compaction: forget the scrambled free list wholesale and re-dispense
     // slots from index 0.  The rebuild below then lays every list out
@@ -891,7 +897,7 @@ void ConcurrentSim::rebuild_run_state(
       }
     }
     for (GateId g : c_->topo_order()) queue_.schedule(g);
-    settle();
+    propagate();
   }
 }
 
@@ -905,6 +911,15 @@ RunStateSnapshot ConcurrentSim::capture_run_state() const {
   s.flop_good.resize(dffs.size());
   s.flop_faulty.resize(dffs.size());
   for (std::size_t i = 0; i < dffs.size(); ++i) {
+    if (masters_pending_) {
+      // The clocked state: the pending capture is what the Q lists would
+      // hold once committed.
+      s.flop_good[i] = latch_good_[i];
+      for (const auto& [id, st] : latch_lists_[i]) {
+        if (!dropped(id)) s.flop_faulty[i].push_back({id, st});
+      }
+      continue;
+    }
     const GateId q = dffs[i];
     s.flop_good[i] = state_out(good_state_[q]);
     std::uint32_t cur = head_vis_[q];
@@ -943,6 +958,7 @@ void ConcurrentSim::restore_run_state(const RunStateSnapshot& s,
   salvage_.clear();
   queue_.clear();
   good_oracle_ = nullptr;  // a stale slab never survives a rebuild
+  masters_pending_ = false;
   pool_.reset();
   const std::uint32_t snt = pool_.alloc();  // sentinel regains slot 0
   pool_[snt] = Element{kSentinelId, snt, 0};
@@ -1011,6 +1027,7 @@ void ConcurrentSim::reserve_elements(std::size_t n) {
 }
 
 void ConcurrentSim::set_inputs(std::span<const Val> pi_vals) {
+  finish_clock();
   const auto pis = c_->inputs();
   if (pi_vals.size() != pis.size()) {
     throw Error("apply_vector: expected " + std::to_string(pis.size()) +
@@ -1049,6 +1066,7 @@ void ConcurrentSim::record_detect(std::uint32_t fault, Val good, Val faulty,
 }
 
 std::size_t ConcurrentSim::sample_outputs() {
+  finish_clock();
   std::size_t newly = 0;
   const auto pos = c_->outputs();
   for (std::size_t p = 0; p < pos.size(); ++p) {
@@ -1075,9 +1093,8 @@ std::size_t ConcurrentSim::sample_outputs() {
 // Flip-flop latching
 // ---------------------------------------------------------------------------
 
-void ConcurrentSim::latch_flipflops(bool capture_only) {
+void ConcurrentSim::capture_masters() {
   const auto dffs = c_->dffs();
-  // Phase 1 (master): capture good D and the merged faulty D list per DFF.
   for (std::size_t i = 0; i < dffs.size(); ++i) {
     const GateId q = dffs[i];
     const GateId drv = c_->fanins(q)[0];
@@ -1122,11 +1139,11 @@ void ConcurrentSim::latch_flipflops(bool capture_only) {
       }
     }
   }
-  if (capture_only) return;
-  commit_masters();
+  masters_pending_ = true;
 }
 
 void ConcurrentSim::commit_masters() {
+  masters_pending_ = false;
   const auto dffs = c_->dffs();
   for (std::size_t i = 0; i < dffs.size(); ++i) {
     const GateId q = dffs[i];
@@ -1170,22 +1187,43 @@ void ConcurrentSim::commit_masters() {
       }
     }
   }
-  settle();
 }
 
-void ConcurrentSim::clock() { latch_flipflops(/*capture_only=*/false); }
+void ConcurrentSim::finish_clock() {
+  if (!masters_pending_) return;
+  good_oracle_ = nullptr;  // the slab does not hold the post-clock frame
+  commit_masters();
+  propagate();
+}
+
+void ConcurrentSim::clock() {
+  finish_clock();
+  good_oracle_ = nullptr;
+  capture_masters();
+  commit_masters();
+  propagate();
+}
 
 // ---------------------------------------------------------------------------
 // Vector application
 // ---------------------------------------------------------------------------
 
 std::size_t ConcurrentSim::apply_vector(std::span<const Val> pi_vals) {
-  if (transition_mode_) return apply_vector_transition(pi_vals);
   ++vectors_simulated_;
+  // Slave update for the masters the previous vector captured.  Only the
+  // fanout is scheduled: it settles together with the new inputs, so each
+  // gate is visited once per vector, not once after the clock and again
+  // after the inputs.
+  if (masters_pending_) {
+    CFS_PHASE(timers_, Clocking);
+    commit_masters();
+  }
+  // In transition mode this is pass 1: delayed transitions hold their
+  // previous value; POs and the FF masters sample this state (paper §3).
   {
     CFS_PHASE(timers_, FaultProp);
     set_inputs(pi_vals);
-    settle();
+    propagate();
   }
   std::size_t newly = 0;
   {
@@ -1194,58 +1232,24 @@ std::size_t ConcurrentSim::apply_vector(std::span<const Val> pi_vals) {
   }
   {
     CFS_PHASE(timers_, Clocking);
-    // The slab holds this vector's settled frame only; post-clock settling
-    // computes the next frame, so the oracle must not serve it.
-    good_oracle_ = nullptr;
-    clock();
+    capture_masters();
   }
-  return newly;
-}
-
-std::size_t ConcurrentSim::apply_vector_transition(
-    std::span<const Val> pi_vals) {
-  ++vectors_simulated_;
-  // Pass 1: delayed transitions hold their previous value; POs and the FF
-  // masters sample this state (paper §3).
-  pass1_ = true;
-  {
+  if (transition_mode_) {
+    // Pass 2: fire every transition and settle; this is the state the next
+    // frame's "previous values" come from.  The slaves are not updated
+    // yet, so the new flip-flop values cannot leak into this pass.
     CFS_PHASE(timers_, FaultProp);
-    set_inputs(pi_vals);
-    settle();
-  }
-  std::size_t newly = 0;
-  {
-    CFS_PHASE(timers_, DropPass);
-    newly = sample_outputs();
-  }
-  {
-    CFS_PHASE(timers_, Clocking);
-    latch_flipflops(/*capture_only=*/true);
-  }
-
-  // Pass 2: fire every transition and settle; this is the state the next
-  // frame's "previous values" come from.  The slaves are not updated yet,
-  // so the new flip-flop values cannot leak into this pass.
-  pass1_ = false;
-  {
-    CFS_PHASE(timers_, FaultProp);
+    pass1_ = false;
     for (GateId g : held_gates_) {
       held_flag_[g] = 0;
       queue_.schedule(g);
     }
     held_gates_.clear();
-    settle();
+    propagate();
     update_prev_values();
+    pass1_ = true;
   }
-
-  // Slave update: commit the captured masters; the propagation belongs to
-  // the next frame's pass 1.
-  pass1_ = true;
-  {
-    CFS_PHASE(timers_, Clocking);
-    good_oracle_ = nullptr;  // the slab does not cover the next frame
-    commit_masters();
-  }
+  good_oracle_ = nullptr;  // armed for one vector only
   return newly;
 }
 

@@ -28,6 +28,14 @@
 // pass 2 fires every transition to produce the next frame's "previous"
 // values.
 //
+// One settle per vector (two in transition mode): apply_vector() commits the
+// flip-flop masters the previous vector captured, drives the new inputs,
+// settles once, samples the POs, and captures the next masters.  The
+// captured state stays pending until the next vector, so between vectors
+// the engine holds the last vector's settled frame; capture_run_state()
+// serializes the pending masters, so a snapshot is the clocked state
+// (DESIGN.md §17).
+//
 // The engine is split into an immutable SimModel (core/sim_model.h) --
 // descriptors, site-fault indices, transition groupings -- and this class,
 // which is pure *run state* (fault lists, pool, good machine, queue,
@@ -92,27 +100,31 @@ class ConcurrentSim {
 
   /// Reinitialise: good machine to X inputs / `ff_init` flip-flops, all
   /// fault lists rebuilt from scratch, detection status preserved unless
-  /// `clear_status`.
+  /// `clear_status`.  Drops a pending master capture.
   void reset(Val ff_init = Val::X, bool clear_status = false);
 
-  /// Simulate one test vector: drive PIs, settle, sample POs (detection),
-  /// clock the flip-flops.  In transition mode this runs the two-pass
-  /// scheme.  Returns the number of newly hard-detected faults.
+  /// Simulate one test vector: commit the masters the previous vector
+  /// captured, drive PIs, settle, sample POs (detection), capture the
+  /// masters.  In transition mode this runs the two-pass scheme.  Returns
+  /// the number of newly hard-detected faults.
   std::size_t apply_vector(std::span<const Val> pi_vals);
 
   // -- resilience (resil/campaign.h drives these) --------------------------
 
   /// Capture the engine's sequential state at a vector boundary: flip-flop
   /// good values, per-DFF faulty divergence lists (owned, non-dropped
-  /// faults only), and transition-mode previous pin values.  Together with
-  /// status() this is everything restore_run_state() needs.
+  /// faults only), and transition-mode previous pin values.  A master
+  /// capture still pending from apply_vector() is what gets serialized, so
+  /// the snapshot is the clocked state.  Together with status() this is
+  /// everything restore_run_state() needs.
   RunStateSnapshot capture_run_state() const;
 
-  /// Rebuild the engine from a boundary snapshot: detection status is set
-  /// to `status`, all fault lists are torn down and re-derived (primary
-  /// inputs return to X until the next vector drives them; faults excluded
-  /// by the shard partition, the suspension overlay, or event-driven
-  /// dropping never materialise), and the snapshot's flip-flop divergences
+  /// Rebuild the engine from a boundary snapshot, dropping any pending
+  /// master capture: detection status is set to `status`, all fault lists
+  /// are torn down and re-derived (primary inputs return to X until the
+  /// next vector drives them; faults excluded by the shard partition, the
+  /// suspension overlay, or event-driven dropping never materialise),
+  /// and the snapshot's flip-flop divergences
   /// are re-injected.  Continuing the vector stream afterwards is
   /// bit-identical -- coverage, detection order, deterministic counters --
   /// to never having stopped.  The snapshot may cover the whole universe
@@ -168,10 +180,13 @@ class ConcurrentSim {
   /// strictly-lower-level fanins are final, so the scalar evaluation the
   /// oracle replaces already equals the settled value.  Only TableEvals
   /// shifts; good values, fault propagation, detection order, and the
-  /// deterministic counters are bit-identical.  The engine disarms itself
-  /// before the clock phase (post-clock settling is not in the slab); in
-  /// transition mode the oracle stays live through pass 2, whose good
-  /// values equal pass 1's settled frame.  Pass nullptr to disarm.
+  /// deterministic counters are bit-identical.  The vector's one settle
+  /// already includes the fanout of the flip-flops it commits, so the slab
+  /// covers all of it; in transition mode the oracle stays live through
+  /// pass 2, whose good values equal pass 1's settled frame.  The engine
+  /// disarms itself when apply_vector() returns, and before any settle of
+  /// a frame the slab does not hold (the granular clock()).  Pass nullptr
+  /// to disarm.
   /// `step_slab` must stay valid until the next apply_vector() returns.
   void set_good_batch_oracle(const Word64* step_slab, unsigned lane,
                              unsigned words_per_gate = 1) {
@@ -183,6 +198,9 @@ class ConcurrentSim {
   }
 
   // -- granular API (stuck-at mode), used by tests ------------------------
+  // clock() latches, commits and settles at once.  Each call first commits
+  // and settles a master capture left pending by apply_vector(), so it sees
+  // the state an eager clock would have left behind.
   void set_inputs(std::span<const Val> pi_vals);
   void settle();
   std::size_t sample_outputs();
@@ -203,7 +221,8 @@ class ConcurrentSim {
     observer_ = std::move(obs);
   }
 
-  /// Good-machine value of a gate (settled).
+  /// Good-machine value of a gate (settled).  After apply_vector() this is
+  /// the vector's own frame: flip-flops still show their pre-clock values.
   Val good_value(GateId g) const { return state_out(good_state_[g]); }
 
   /// Faulty output value of `fault` at gate `g`: the element's value if one
@@ -437,13 +456,20 @@ class ConcurrentSim {
   void rebuild_run_state(std::span<const Val> flop_good,
                          const std::vector<std::vector<FlopFault>>* flop_faulty,
                          std::span<const Val> prev_pins);
-  void latch_flipflops(bool capture_only);
+  // Drain the event queue (the settle itself, without finish_clock()).
+  void propagate();
+  // Master phase: latch good D and the merged faulty D list of every DFF
+  // into latch_good_/latch_lists_; the capture is pending until committed.
+  void capture_masters();
+  // Slave phase: write the pending capture to the Q lists and schedule the
+  // flip-flop fanout (no settle).
   void commit_masters();
+  // Commit and settle a pending capture, the way an eager clock would have.
+  void finish_clock();
   void record_detect(std::uint32_t fault, Val good, Val faulty,
                      std::size_t& newly);
 
-  // Transition-mode helpers.
-  std::size_t apply_vector_transition(std::span<const Val> pi_vals);
+  // Transition-mode helper.
   void update_prev_values();
 
   std::shared_ptr<const SimModel> model_;
@@ -469,7 +495,7 @@ class ConcurrentSim {
 
   std::vector<GateState> good_state_;
   // Packed good-machine oracle (set_good_batch_oracle): non-null only
-  // from arming until the next clock phase.  The pointer is pre-offset to
+  // from arming until apply_vector() returns.  The pointer is pre-offset to
   // the armed lane's word; a gate's word is good_oracle_[g * stride].
   const Word64* good_oracle_ = nullptr;
   unsigned good_oracle_stride_ = 1;
@@ -486,9 +512,11 @@ class ConcurrentSim {
   std::vector<std::uint8_t> held_flag_;
   std::vector<GateId> held_gates_;
 
-  // DFF latching scratch: new good Q and new fault list per DFF.
+  // DFF latching: new good Q and new fault list per DFF.  Between vectors
+  // they hold the captured masters while `masters_pending_` is set.
   std::vector<Val> latch_good_;
   std::vector<std::vector<std::pair<std::uint32_t, GateState>>> latch_lists_;
+  bool masters_pending_ = false;
 
   // Batched-settle scratch (process_level / batch_eval_good).  Levels
   // below kBatchEvalMin gates evaluate scalarly: the grouping sort costs

@@ -12,6 +12,13 @@
 // state (fault lists, pool, good machine, queue) is per shard.  Each shard
 // currently re-simulates its own good machine -- see DESIGN.md for the
 // shared-good-machine follow-up.
+//
+// Each engine settles once per vector (twice in transition mode): the
+// masters a vector captures are committed at the start of the next one
+// (DESIGN.md §17).  Between vectors a shard therefore holds the last
+// vector's settled frame plus that pending capture; capture_run_state()
+// merges the captured masters, and the rebalancer's census weighs the
+// frame.
 #pragma once
 
 #include <cstdint>

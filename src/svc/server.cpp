@@ -134,14 +134,18 @@ void Server::serve_connection(int fd) {
         dead = true;
         break;
       }
-      const std::string resp = svc_.handle(payload);
-      if (!write_all(fd, encode_frame(resp))) {
+      bool shutdown = false;
+      const std::string resp = svc_.handle(payload, &shutdown);
+      const bool written = write_all(fd, encode_frame(resp));
+      // A shutdown request drains the service synchronously; then stop
+      // accepting connections.  Only the connection that served it stops
+      // the server, after its reply is written: the stop shuts every
+      // connection down, so any earlier stop could cut the reply off.
+      if (shutdown) request_stop();
+      if (!written) {
         dead = true;
         break;
       }
-      // A shutdown request drains the service synchronously; once that
-      // has happened, stop accepting new connections.
-      if (svc_.draining()) request_stop();
     }
     if (dead) break;
   }

@@ -33,8 +33,9 @@ class Server {
   /// Bind + listen; throws cfs::Error with the OS diagnostic on failure.
   void start();
 
-  /// Accept/dispatch until request_stop() (or a shutdown request drains
-  /// the service).  Blocks the calling thread.
+  /// Accept/dispatch until request_stop(), or until a shutdown request has
+  /// drained the service and its reply is written.  Blocks the calling
+  /// thread.
   void run();
 
   /// Async-signal-safe stop trigger (writes one byte to the self-pipe).

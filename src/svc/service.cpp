@@ -525,7 +525,8 @@ std::string Service::session_status_json(Session& s, bool ok_field) {
   return out;
 }
 
-std::string Service::handle(const std::string& payload) {
+std::string Service::handle(const std::string& payload, bool* shutdown) {
+  if (shutdown != nullptr) *shutdown = false;
   try {
     const JsonValue req = json_parse(payload);
     if (!req.is_object()) {
@@ -538,7 +539,11 @@ std::string Service::handle(const std::string& payload) {
     if (op == "watch") return op_watch(req);
     if (op == "stats") return op_stats(req);
     if (op == "cancel") return op_cancel(req);
-    if (op == "shutdown") return op_shutdown(req);
+    if (op == "shutdown") {
+      std::string resp = op_shutdown(req);
+      if (shutdown != nullptr) *shutdown = true;
+      return resp;
+    }
     throw ProtocolError("unknown_op", "unknown op '" + op + "'");
   } catch (const ProtocolError& pe) {
     note_protocol_error();
@@ -798,7 +803,7 @@ std::string Service::op_cancel(const JsonValue& req) {
 std::string Service::op_shutdown(const JsonValue&) {
   // Synchronous graceful drain: every running session checkpoints and
   // halts; the response confirms completion.  The transport layer exits
-  // its accept loop once draining() is set.
+  // its accept loop once it has written this response.
   drain();
   return "{\"ok\":true,\"draining\":true}";
 }

@@ -165,8 +165,10 @@ class Service {
   /// Dispatch one request payload (JSON text) to a response payload.
   /// Protocol-level problems come back as {"ok":false,"error":code,...};
   /// this never throws ProtocolError.  Blocking ops (open with a queue
-  /// wait, watch) block the calling thread only.
-  std::string handle(const std::string& payload);
+  /// wait, watch) block the calling thread only.  `shutdown`, when given,
+  /// is set to whether this request was a completed `shutdown` op: the
+  /// transport stops only after writing that request's reply.
+  std::string handle(const std::string& payload, bool* shutdown = nullptr);
 
   /// Count a protocol error detected outside handle() (framing, transport)
   /// so the svc stats block sees every malformed frame.

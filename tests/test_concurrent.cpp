@@ -1,15 +1,21 @@
 // Concurrent fault simulator: behavioural unit tests on small circuits
-// where detections can be reasoned about by hand, plus consistency between
-// the four paper variants.
+// where detections can be reasoned about by hand, consistency between the
+// four paper variants, and the one-settle vector loop (a clock's captured
+// masters stay pending until the next vector) across API boundaries.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <tuple>
 
 #include "baseline/serial_sim.h"
 #include "core/concurrent_sim.h"
 #include "faults/macro_map.h"
+#include "gen/iscas_profiles.h"
 #include "gen/known_circuits.h"
 #include "netlist/builder.h"
 #include "netlist/macro_extract.h"
 #include "patterns/pattern.h"
+#include "sim/sharded_sim.h"
 #include "util/error.h"
 
 namespace cfs {
@@ -203,6 +209,159 @@ TEST(Concurrent, ApplyVectorReturnsNewDetections) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < p.size(); ++i) total += sim.apply_vector(p[i]);
   EXPECT_EQ(total, sim.coverage().hard);
+}
+
+// ---------------------------------------------------------------------------
+// One settle per vector
+// ---------------------------------------------------------------------------
+
+TEST(OneSettleLoop, GateFedByInputAndFlipFlopIsVisitedOncePerVector) {
+  // y = XOR(a, q) with q = DFF(b).  a and b toggle on every vector, so y's
+  // input pin changes when a vector drives a and its flip-flop pin changes
+  // when the clock commits q.  y is the only combinational gate, and the
+  // committed q settles together with the next vector's inputs: one visit
+  // per vector, not one after the clock and another after the inputs.
+  Builder b("pi_and_q");
+  b.add_input("a");
+  b.add_input("b");
+  b.add_dff("q", "b");
+  b.add_gate(GateKind::Xor, "y", {"a", "q"});
+  b.mark_output("y");
+  const Circuit c = b.build();
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  ConcurrentSim sim(c, u);
+  sim.reset(Val::Zero);
+  for (int v = 0; v < 8; ++v) {
+    const std::uint64_t before = sim.gates_processed();
+    sim.apply_vector(bits({v % 2, 1 - v % 2}));
+    EXPECT_EQ(sim.gates_processed() - before, 1u) << "vector " << v;
+  }
+}
+
+// (vector, fault, PO position, hard) per detection-observer call.
+using ObsLog =
+    std::vector<std::tuple<std::size_t, std::uint32_t, std::uint32_t, bool>>;
+
+struct LoopRun {
+  std::vector<Detect> status;
+  ObsLog obs;
+  RunStateSnapshot snap;
+};
+
+/// The reference: every vector through apply_vector() on one engine.
+LoopRun apply_only(const Circuit& c, const FaultUniverse& u,
+                   const PatternSet& p) {
+  LoopRun r;
+  std::size_t vec = 0;
+  ConcurrentSim sim(c, u);
+  sim.set_detection_observer(
+      [&](std::uint32_t f, std::uint32_t po, bool hard) {
+        r.obs.emplace_back(vec, f, po, hard);
+      });
+  sim.reset(Val::Zero);
+  for (vec = 0; vec < p.size(); ++vec) sim.apply_vector(p[vec]);
+  r.status = sim.status();
+  r.snap = sim.capture_run_state();
+  return r;
+}
+
+// Vectors 17 and 30 start on a fresh engine restored from the previous
+// engine's snapshot.
+bool hop_before(std::size_t vec) { return vec == 17 || vec == 30; }
+
+/// One engine mixing apply_vector() with the granular calls, hopping to a
+/// fresh engine through capture_run_state()/restore_run_state() twice.
+/// Stuck-at mode runs every third vector as set_inputs/settle/
+/// sample_outputs/clock.  The granular vector has no pass 2, so transition
+/// mode instead follows every third apply_vector() with a bare settle(),
+/// which commits and settles the pending capture eagerly.  Hops land once
+/// with a capture pending (vector 17) and once without (vector 30).
+LoopRun mixed_engine(const Circuit& c, const FaultUniverse& u,
+                     const PatternSet& p, bool transition) {
+  LoopRun r;
+  std::size_t vec = 0;
+  const auto observe = [&](std::uint32_t f, std::uint32_t po, bool hard) {
+    r.obs.emplace_back(vec, f, po, hard);
+  };
+  auto sim = std::make_unique<ConcurrentSim>(c, u);
+  sim->set_detection_observer(observe);
+  sim->reset(Val::Zero);
+  for (vec = 0; vec < p.size(); ++vec) {
+    if (hop_before(vec)) {
+      const RunStateSnapshot snap = sim->capture_run_state();
+      const std::vector<Detect> st = sim->status();
+      sim = std::make_unique<ConcurrentSim>(c, u);
+      sim->set_detection_observer(observe);
+      sim->restore_run_state(snap, st);
+    }
+    const bool granular = vec % 3 == 2;
+    if (granular && !transition) {
+      sim->set_inputs(p[vec]);
+      sim->settle();
+      sim->sample_outputs();
+      sim->clock();
+    } else {
+      sim->apply_vector(p[vec]);
+      if (granular) sim->settle();
+    }
+  }
+  r.status = sim->status();
+  r.snap = sim->capture_run_state();
+  return r;
+}
+
+/// The same two hops on a 4-shard ShardedSim.
+LoopRun sharded_hops(const Circuit& c, const FaultUniverse& u,
+                     const PatternSet& p) {
+  LoopRun r;
+  std::size_t vec = 0;
+  const auto observe = [&](std::uint32_t f, std::uint32_t po, bool hard) {
+    r.obs.emplace_back(vec, f, po, hard);
+  };
+  ShardedOptions opt;
+  opt.num_threads = 4;
+  auto sim = std::make_unique<ShardedSim>(c, u, opt);
+  sim->set_detection_observer(observe);
+  sim->reset(Val::Zero);
+  for (vec = 0; vec < p.size(); ++vec) {
+    if (hop_before(vec)) {
+      const RunStateSnapshot snap = sim->capture_run_state();
+      const std::vector<Detect> st = sim->status();
+      sim = std::make_unique<ShardedSim>(c, u, opt);
+      sim->set_detection_observer(observe);
+      sim->restore_run_state(snap, st);
+    }
+    sim->apply_vector(p[vec]);
+  }
+  r.status = sim->status();
+  r.snap = sim->capture_run_state();
+  return r;
+}
+
+void expect_same_run(const LoopRun& got, const LoopRun& ref) {
+  EXPECT_EQ(got.status, ref.status);
+  EXPECT_EQ(got.obs, ref.obs);
+  EXPECT_TRUE(got.snap == ref.snap) << "final snapshots differ";
+}
+
+TEST(OneSettleLoop, PendingCaptureCrossesApiBoundariesStuckAt) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 48, 5);
+  const LoopRun ref = apply_only(c, u, p);
+  ASSERT_FALSE(ref.obs.empty());
+  expect_same_run(mixed_engine(c, u, p, /*transition=*/false), ref);
+  expect_same_run(sharded_hops(c, u, p), ref);
+}
+
+TEST(OneSettleLoop, PendingCaptureCrossesApiBoundariesTransition) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_transition(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 48, 6);
+  const LoopRun ref = apply_only(c, u, p);
+  ASSERT_FALSE(ref.obs.empty());
+  expect_same_run(mixed_engine(c, u, p, /*transition=*/true), ref);
+  expect_same_run(sharded_hops(c, u, p), ref);
 }
 
 }  // namespace

@@ -4,11 +4,15 @@
 // slow watchers, cancel -> halted -> resume bit-identity, and full crash
 // recovery -- a Service destroyed mid-campaign and rebuilt on the same
 // state directory resumes and finishes with the digest of an uninterrupted
-// run.
+// run.  Over the AF_UNIX transport, a `shutdown` reply is never cut off by
+// another connection's traffic.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -20,6 +24,8 @@
 #include "patterns/pattern.h"
 #include "resil/campaign.h"
 #include "resil/containment.h"
+#include "svc/client.h"
+#include "svc/server.h"
 #include "svc/service.h"
 #include "svc/wire.h"
 #include "util/error.h"
@@ -388,6 +394,69 @@ TEST(SvcLifecycle, ShutdownDrainsThenRefusesNewWorkStructurally) {
             "draining");
   EXPECT_EQ(error_code(call(s, "{\"op\":\"cancel\",\"session\":\"d\"}")),
             "draining");
+}
+
+// A second client sends `hello` in a loop while the first sends `shutdown`.
+// Only the connection that served `shutdown` may stop the server, and only
+// after writing its reply: a stop shuts every connection down, so a stop
+// triggered by the hello connection's own drain check could cut the reply
+// off.  A running session keeps the drain, and with it that window, open
+// for milliseconds.
+TEST(SvcServer, ShutdownReplyArrivesWhileAnotherClientIsBusy) {
+  const auto old_pipe = std::signal(SIGPIPE, SIG_IGN);
+  const std::string circuit = bench_text("s298");
+  const std::string tests = suite_text(3, 2000, 8);
+  std::string failure;
+  for (int rep = 0; rep < 50 && failure.empty(); ++rep) {
+    const std::string dir = fresh_dir("svc_shutdown_race");
+    Service svc(base_config(dir));
+    svc::Server server(svc, dir + "/cfsd.sock");
+    server.start();
+    std::thread runner([&] { server.run(); });
+
+    bool opened = false;
+    std::string reply;
+    std::atomic<int> hellos{0};
+    std::atomic<bool> chatter_done{false};
+    std::thread chatter;
+    try {
+      svc::Client first;
+      first.connect(server.socket_path());
+      opened = first.call(open_request("busy", circuit, tests))
+                   .find("ok")
+                   ->as_bool();
+      chatter = std::thread([&] {
+        svc::Client second;
+        try {
+          second.connect(server.socket_path());
+          for (;;) {
+            second.call("{\"op\":\"hello\"}");
+            hellos.fetch_add(1, std::memory_order_relaxed);
+          }
+        } catch (const std::exception&) {
+          // The server stopped: the loop ends on a transport error.
+        }
+        chatter_done.store(true);
+      });
+      while (hellos.load(std::memory_order_relaxed) < 3 &&
+             !chatter_done.load()) {
+        std::this_thread::yield();
+      }
+      reply = first.request("{\"op\":\"shutdown\"}");
+    } catch (const std::exception& e) {
+      reply = std::string("transport error: ") + e.what();
+      server.request_stop();  // whatever failed, let run() return
+    }
+    runner.join();
+    if (chatter.joinable()) chatter.join();
+    if (!opened) {
+      failure = "rep " + std::to_string(rep) + ": open refused";
+    } else if (reply != "{\"ok\":true,\"draining\":true}") {
+      failure = "rep " + std::to_string(rep) + ": " + reply;
+    }
+  }
+  std::signal(SIGPIPE, old_pipe);
+  EXPECT_EQ(failure, "");
 }
 
 // ---------------------------------------------------------------------------
