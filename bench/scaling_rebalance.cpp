@@ -1,6 +1,6 @@
-// Static vs dynamic partitioning across shard counts: the round-robin
-// partition held for the whole run against the same run with live-element
-// rebalancing enabled (sim/sharded_sim.h, --rebalance).
+// Static vs dynamic partitioning across shard counts: the initial
+// equal-count split held for the whole run against the same run with
+// live-element rebalancing enabled (sim/sharded_sim.h, --rebalance).
 //
 // Every row is verified against the single-threaded reference: identical
 // hard/potential coverage regardless of policy -- rebalancing only moves

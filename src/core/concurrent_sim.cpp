@@ -57,6 +57,7 @@ ConcurrentSim::ConcurrentSim(std::shared_ptr<const SimModel> model,
   good_state_.resize(n);
   head_vis_.assign(n, 0);
   head_inv_.assign(n, 0);
+  site_live_.assign(n, 0);  // counted by reset() below
   // Pre-size the element arena from this engine's active fault universe (the
   // shard's, under a partition, minus suspensions) so the early vectors never
   // grow it; an enforced budget caps the pre-size too.
@@ -359,9 +360,24 @@ Val ConcurrentSim::eval_element(GateId g, std::uint32_t fault,
 
 bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
   const unsigned nf = c_->num_fanins(g);
+  const auto fanins = c_->fanins(g);
+  // Nothing to merge: no site fault left to introduce, no list at the gate
+  // and nothing on a fanin's visible list, so the merge would produce two
+  // empty lists equal to the stored ones.  The rebuild oracle always takes
+  // the full path.
+  if (site_live_[g] == 0 && head_vis_[g] == 0 && head_inv_[g] == 0 &&
+      !opt_.rebuild_lists) {
+    unsigned p = 0;
+    while (p < nf && head_vis_[fanins[p]] == 0) ++p;
+    if (p == nf) {
+      CFS_COUNT(counters_, MergesSkipped);
+      // The lists the full path would have applied without touching them.
+      CFS_COUNT_N(counters_, ListsUnchanged, opt_.split_lists ? 2 : 1);
+      return false;
+    }
+  }
   const GateState good = good_state_[g];
   const Val old_good_out = state_out(good);
-  const auto fanins = c_->fanins(g);
 
   // Fanin cursors (visible lists in split mode; in combined mode invisible
   // elements carry out == good, so reading them is harmless).  Quiet
@@ -628,24 +644,6 @@ void ConcurrentSim::commit_good(GateId g, Val v) {
   }
 }
 
-void ConcurrentSim::process_gate(GateId g) {
-  // With the batch oracle armed the settled good value is already known:
-  // read it from the packed slab instead of re-evaluating the gate.
-  const Val new_good = good_oracle_ != nullptr
-                           ? w_get(good_oracle_[std::size_t{g} *
-                                                good_oracle_stride_],
-                                   good_oracle_lane_)
-                           : eval_gate(g, good_state_[g]);
-  const bool vis_changed = merge_gate(g, new_good);
-  if (new_good != state_out(good_state_[g])) {
-    commit_good(g, new_good);
-  } else if (vis_changed) {
-    for (const Fanout& fo : c_->fanouts(g)) {
-      if (is_combinational(c_->kind(fo.gate))) queue_.schedule(fo.gate);
-    }
-  }
-}
-
 void ConcurrentSim::settle() {
   finish_clock();
   propagate();
@@ -659,9 +657,10 @@ void ConcurrentSim::propagate() {
 void ConcurrentSim::process_level(const GateId* gates, std::size_t n) {
   // Good values first.  Every fanin of a level-L gate is strictly below L
   // and already settled, and gates of one level never feed each other, so
-  // pre-evaluating the whole level reads exactly the states the per-gate
+  // pre-evaluating the whole level reads exactly the states a per-gate
   // loop would have read.  Only the grouping of TableEvals bumps changes;
-  // the totals stay identical.
+  // the totals stay identical.  With the batch oracle armed the settled
+  // good values are already known: read them from the packed slab.
   lvl_good_.resize(n);
   if (good_oracle_ != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -829,6 +828,7 @@ void ConcurrentSim::rebuild_run_state(
     const std::vector<std::vector<FlopFault>>* flop_faulty,
     std::span<const Val> prev_pins) {
   const auto dffs = c_->dffs();
+  recount_site_live();
   // Good machine: PIs X, flip-flops at flop_good, full consistent sweep.
   {
     CFS_PHASE(timers_, GoodEval);
@@ -984,6 +984,7 @@ void ConcurrentSim::set_suspended(const std::vector<std::uint8_t>& suspended) {
       if (suspended[i]) excluded_[i] = 1;
     }
   }
+  recount_site_live();
 }
 
 void ConcurrentSim::set_shard(const FaultPartition& part,
@@ -1000,6 +1001,26 @@ void ConcurrentSim::set_shard(const FaultPartition& part,
     base_excluded_[id] = part.shard_of(id) == shard_index ? 0 : 1;
   }
   excluded_ = base_excluded_;
+  recount_site_live();
+}
+
+void ConcurrentSim::adopt_status(const std::vector<Detect>& status) {
+  status_ = status;
+  recount_site_live();
+}
+
+std::uint32_t ConcurrentSim::count_site_live(GateId g) const {
+  std::uint32_t live = 0;
+  for (const std::uint32_t id : model_->site_faults(g)) {
+    live += excluded_[id] == 0 && !dropped(id);
+  }
+  return live;
+}
+
+void ConcurrentSim::recount_site_live() {
+  for (GateId g = 0; g < c_->num_gates(); ++g) {
+    site_live_[g] = count_site_live(g);
+  }
 }
 
 void ConcurrentSim::accumulate_live_weights(
@@ -1057,6 +1078,11 @@ void ConcurrentSim::record_detect(std::uint32_t fault, Val good, Val faulty,
       if (opt_.drop_detected) {
         ++faults_dropped_;
         CFS_COUNT(counters_, FaultsDropped);
+        // Dropped: its site can no longer introduce it.  (A fault excluded
+        // since its element was built, or masked, was never counted.)
+        if (excluded_[fault] == 0 && !descr_[fault].masked) {
+          --site_live_[descr_[fault].site_gate];
+        }
       }
     }
   } else if (faulty == Val::X && status_[fault] == Detect::None) {
@@ -1328,6 +1354,9 @@ void ConcurrentSim::validate() const {
   for (GateId g = 0; g < c_->num_gates(); ++g) {
     const Val good = state_out(good_state_[g]);
     const bool comb = is_combinational(c_->kind(g));
+    if (site_live_[g] != count_site_live(g)) {
+      fail(g, "stale site-fault count");
+    }
     for (int list = 0; list < 2; ++list) {
       std::uint32_t cur = list == 0 ? head_vis_[g] : head_inv_[g];
       std::uint32_t last_id = 0;
@@ -1393,6 +1422,7 @@ std::size_t ConcurrentSim::state_bytes() const {
   std::size_t b = pool_.bytes();
   b += head_vis_.capacity() * sizeof(std::uint32_t);
   b += head_inv_.capacity() * sizeof(std::uint32_t);
+  b += site_live_.capacity() * sizeof(std::uint32_t);
   b += good_state_.capacity() * sizeof(GateState);
   b += status_.capacity() * sizeof(Detect);
   b += excluded_.capacity();

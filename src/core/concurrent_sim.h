@@ -28,6 +28,13 @@
 // pass 2 fires every transition to produce the next frame's "previous"
 // values.
 //
+// A gate no machine of this engine can change is not merged at all:
+// merge_gate() returns at once when none of the gate's site faults can
+// still be introduced here (all excluded or dropped, tracked as a per-gate
+// count), both of its lists are empty, and no fanin holds a visible
+// element.  Under a site-ordered fault partition most gates are such gates
+// for all but one shard (DESIGN.md section 18).
+//
 // One settle per vector (two in transition mode): apply_vector() commits the
 // flip-flop masters the previous vector captured, drives the new inputs,
 // settles once, samples the POs, and captures the next masters.  The
@@ -139,7 +146,7 @@ class ConcurrentSim {
   /// sequence boundary must know which faults are already hard-detected so
   /// event-driven dropping keeps them out of the rebuilt lists.  List
   /// contents change at the next reset()/restore_run_state(), not here.
-  void adopt_status(const std::vector<Detect>& status) { status_ = status; }
+  void adopt_status(const std::vector<Detect>& status);
 
   /// Overlay mask (size num_faults or empty): marked faults are suspended
   /// -- treated exactly like faults of a foreign shard until the next
@@ -172,7 +179,7 @@ class ConcurrentSim {
   void reset_peak_elements() { pool_.reset_peak(); }
 
   /// Arm the packed good-machine oracle for the next apply_vector(): while
-  /// armed, process_gate() serves a gate's new good value from lane `lane`
+  /// armed, process_level() serves a gate's new good value from lane `lane`
   /// of `step_slab[gate * words_per_gate ..]` -- the settled multi-word
   /// outputs a BatchGoodSim computed for this vector -- instead of
   /// re-evaluating the gate.  Sound
@@ -236,7 +243,8 @@ class ConcurrentSim {
   /// sentinel-terminated; visible elements differ from the good output,
   /// invisible ones agree; every non-dropped element's pins equal the
   /// faulty driver values (visible element at the driver, else good), and
-  /// its output equals re-evaluation of its pins.  Throws cfs::Error with a
+  /// its output equals re-evaluation of its pins; every gate's count of
+  /// introducible site faults matches a recount.  Throws cfs::Error with a
   /// description of the first violation (stuck-at mode only; the settled
   /// state between vectors is required).
   void validate() const;
@@ -398,12 +406,12 @@ class ConcurrentSim {
 
   Val eval_element(GateId g, std::uint32_t fault, GateState& state);
   bool merge_gate(GateId g, Val new_good_out);
-  void process_gate(GateId g);
-  // Batched settle path: one whole ready level at a time (drain_levels).
-  // Good values of the entire level are evaluated up front -- gates of one
-  // level never feed each other, so every good_state_ the level reads is
-  // already final -- then each gate merges in the same ascending-id order
-  // drain() used.  Bit-identical to per-gate process_gate() by construction.
+  // The settle's unit of work: one whole ready level at a time
+  // (drain_levels).  Good values of the entire level are evaluated up
+  // front -- gates of one level never feed each other, so every
+  // good_state_ the level reads is already final -- then each gate merges
+  // in ascending-id order and, if its good value or visible list changed,
+  // schedules its fanout.
   void process_level(const GateId* gates, std::size_t n);
   // Grouped table evaluation of a level's good values into lvl_good_:
   // gates sharing an eval table (same (kind, arity) class, or one macro)
@@ -468,6 +476,10 @@ class ConcurrentSim {
   void finish_clock();
   void record_detect(std::uint32_t fault, Val good, Val faulty,
                      std::size_t& newly);
+  // Site faults of `g` neither excluded nor dropped.
+  std::uint32_t count_site_live(GateId g) const;
+  // site_live_ recomputed for every gate from excluded_ and status_.
+  void recount_site_live();
 
   // Transition-mode helper.
   void update_prev_values();
@@ -492,6 +504,12 @@ class ConcurrentSim {
   // Shard-ownership mask alone; set_suspended() re-derives excluded_ from
   // this.  Empty when the engine has no partition (covers the universe).
   std::vector<std::uint8_t> base_excluded_;
+  // Per gate: site faults this engine can still introduce there (neither
+  // excluded nor dropped).  Zero lets merge_gate() skip an empty gate, so a
+  // stale low count would silently lose a merge: every change to
+  // excluded_ or status_ recounts (recount_site_live), and a hard detection
+  // under dropping decrements (record_detect).
+  std::vector<std::uint32_t> site_live_;
 
   std::vector<GateState> good_state_;
   // Packed good-machine oracle (set_good_batch_oracle): non-null only

@@ -3,18 +3,22 @@
 // Once the good machine is fixed, every faulty machine is independent: the
 // concurrent simulator's verdict for a fault does not depend on which other
 // faults share its engine.  Any disjoint cover of the universe is therefore
-// a correct unit of parallelism.  Faults start out assigned round-robin by
-// id (`id % num_shards`): shard sizes differ by at most one, the faults of
-// a hot site spread across shards, and the assignment is a pure function of
-// (universe size, shard count) -- so a sharded run is reproducible without
-// storing the partition.
+// a correct unit of parallelism, and the partition is free to serve speed.
 //
-// The partition can later be *re*-weighted: `partition_by_weight` replaces
-// the round-robin assignment with a greedy LPT (longest-processing-time)
-// bin packing over caller-supplied per-fault weights (live fault-list
-// elements in practice).  The packing is a pure function of the weight
-// vector -- ties broken by fault id and by lowest shard index -- so two
-// runs that observe the same weights repartition identically.
+// One rule places every fault: a shard is a contiguous run of a fixed fault
+// *order*, cut at equal weight.  The initial split weighs each fault 1, so
+// shard sizes differ by at most one; partition_by_weight() re-cuts the same
+// order by caller-supplied per-fault weights (live fault-list elements in
+// practice), so a repartition moves only faults near the cuts.  Both cuts
+// are pure functions of (order, weights, shard count), so a sharded run is
+// reproducible without storing the partition.
+//
+// The order is the caller's choice; ShardedSim passes the *site order*
+// (fault ids grouped by site gate, gates by level then id, masked faults
+// last).  Keeping a gate's site faults in one shard is what lets the other
+// shards skip that gate's merge outright (DESIGN.md section 18); a split
+// that spreads a site's faults over the shards makes every shard merge at
+// every event there.
 #pragma once
 
 #include <cstdint>
@@ -26,20 +30,18 @@ namespace cfs {
 
 class FaultPartition {
  public:
-  /// Partition fault ids [0, num_faults) into `num_shards` shards.
-  /// `num_shards` is clamped to at least 1.
-  FaultPartition(std::size_t num_faults, unsigned num_shards);
+  /// Split fault ids [0, num_faults) into `num_shards` contiguous runs of
+  /// `order`, each fault weighing 1.  `order` is a permutation of the ids;
+  /// empty means ascending id.  `num_shards` is clamped to at least 1.
+  /// Throws cfs::Error if `order` is not a permutation of the universe.
+  FaultPartition(std::size_t num_faults, unsigned num_shards,
+                 std::vector<std::uint32_t> order = {});
 
   unsigned num_shards() const { return num_shards_; }
   std::size_t num_faults() const { return num_faults_; }
 
   /// Shard owning fault `id`.
-  unsigned shard_of(std::uint32_t id) const {
-    return owner_.empty() ? id % num_shards_ : owner_[id];
-  }
-
-  /// True once partition_by_weight has replaced the round-robin map.
-  bool weighted() const { return !owner_.empty(); }
+  unsigned shard_of(std::uint32_t id) const { return owner_[id]; }
 
   /// Sorted fault ids owned by shard `s`.
   const std::vector<std::uint32_t>& shard(unsigned s) const {
@@ -51,12 +53,13 @@ class FaultPartition {
   /// repartition).
   std::size_t shard_size(unsigned s) const { return shards_[s].size(); }
 
-  /// Reassign ownership by greedy LPT bin packing of `weights` (one
-  /// non-negative weight per fault; size must equal num_faults(), throws
-  /// otherwise).  Faults are placed heaviest-first (ties: lower id first)
-  /// onto the least-loaded shard (ties: lowest shard index), which is
-  /// deterministic for a given weight vector.  Returns the number of
-  /// faults whose owner changed.
+  /// Re-cut the order at equal `weights` (one non-negative weight per
+  /// fault; size must equal num_faults(), throws otherwise).  The fault at
+  /// order position i, with weight w_i after a prefix of weight P_i out of
+  /// a total W, goes to shard floor(K * (P_i + w_i / 2) / W): its midpoint
+  /// picks the shard, so the heaviest shard carries at most W / K plus the
+  /// largest single weight.  A zero total falls back to the equal-count
+  /// split.  Returns the number of faults whose owner changed.
   std::size_t partition_by_weight(const std::vector<std::uint64_t>& weights);
 
   /// Deterministic merge of shard-local detection arrays: each fault's
@@ -67,11 +70,16 @@ class FaultPartition {
       const std::vector<const std::vector<Detect>*>& per_shard) const;
 
  private:
+  // Assign owners by cutting the order at equal weight (null: every fault
+  // weighs 1) and rebuild the sorted per-shard lists.  Returns the number
+  // of faults whose owner changed.
+  std::size_t cut(const std::vector<std::uint64_t>* weights);
+
   std::size_t num_faults_;
   unsigned num_shards_;
+  std::vector<std::uint32_t> order_;  // empty: ascending id
   std::vector<std::vector<std::uint32_t>> shards_;
-  // Per-fault owner shard; empty while the round-robin map is in force.
-  std::vector<std::uint32_t> owner_;
+  std::vector<std::uint32_t> owner_;  // per-fault owner shard
 };
 
 }  // namespace cfs

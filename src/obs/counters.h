@@ -41,6 +41,8 @@ enum class Counter : unsigned {
   ElementsRecycled,    ///< unlinked elements respliced for an insert in the
                        ///< same merge (no pool round trip)
   ListsUnchanged,      ///< in-place list applications that touched nothing
+  MergesSkipped,       ///< gate merges skipped: nothing to introduce, no
+                       ///< list at the gate, nothing visible on a fanin
   DropUnlinksLazy,     ///< dropped-fault elements unlinked mid-traversal
   DropSkipsEager,      ///< dropped site faults skipped before materialising
   VisToInvMigrations,  ///< visible elements that converged to invisible
@@ -74,6 +76,7 @@ constexpr std::string_view counter_name(Counter c) {
     case Counter::ElementsReused: return "elements_reused";
     case Counter::ElementsRecycled: return "elements_recycled";
     case Counter::ListsUnchanged: return "lists_unchanged";
+    case Counter::MergesSkipped: return "merges_skipped";
     case Counter::DropUnlinksLazy: return "drop_unlinks_lazy";
     case Counter::DropSkipsEager: return "drop_skips_eager";
     case Counter::VisToInvMigrations: return "vis_to_inv_migrations";

@@ -31,7 +31,7 @@ enum class Phase : unsigned {
   Clocking,    ///< flip-flop capture and master commit
   ShardMerge,  ///< merging shard verdicts / replaying observations
   GoodBatch,   ///< packed 64-lane good-machine precomputation (driver)
-  Rebalance,   ///< dynamic repartition: capture + LPT pack + restore (driver)
+  Rebalance,   ///< dynamic repartition: capture + re-cut + restore (driver)
   Run,         ///< whole-suite envelope (the tables' CPU column)
   kCount
 };

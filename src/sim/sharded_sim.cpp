@@ -24,6 +24,37 @@ unsigned clamp_shards(unsigned num_threads, std::size_t num_faults) {
   return k;
 }
 
+// The site order the shards are cut from: fault ids grouped by site gate,
+// gates by (level, gate id) -- sources are level 0 -- and masked faults,
+// which have no site list, last.  Linear time: a counting sort of the
+// gates by level, then one pass over the site-fault index.
+std::vector<std::uint32_t> site_order(const SimModel& m) {
+  const Circuit& c = m.circuit();
+  const std::size_t n = c.num_gates();
+  std::vector<std::uint32_t> start(c.num_levels() + 1, 0);
+  for (GateId g = 0; g < n; ++g) ++start[c.level(g) + 1];
+  for (std::size_t l = 1; l < start.size(); ++l) start[l] += start[l - 1];
+  std::vector<GateId> by_level(n);
+  for (GateId g = 0; g < n; ++g) by_level[start[c.level(g)]++] = g;
+
+  std::vector<std::uint32_t> order;
+  order.reserve(m.num_faults());
+  for (const GateId g : by_level) {
+    const auto site = m.site_faults(g);
+    order.insert(order.end(), site.begin(), site.end());
+  }
+  for (std::uint32_t id = 0; id < m.num_faults(); ++id) {
+    if (m.descriptor(id).masked) order.push_back(id);
+  }
+  return order;
+}
+
+FaultPartition site_partition(const SimModel& m, unsigned num_threads) {
+  const unsigned k = clamp_shards(num_threads, m.num_faults());
+  return k > 1 ? FaultPartition(m.num_faults(), k, site_order(m))
+               : FaultPartition(m.num_faults(), k);
+}
+
 }  // namespace
 
 ShardedSim::ShardedSim(const Circuit& c, const FaultUniverse& u,
@@ -34,8 +65,7 @@ ShardedSim::ShardedSim(std::shared_ptr<const SimModel> model,
                        ShardedOptions opt)
     : model_(std::move(model)),
       opt_(opt),
-      part_(model_->num_faults(),
-            clamp_shards(opt.num_threads, model_->num_faults())),
+      part_(site_partition(*model_, opt.num_threads)),
       pool_(part_.num_shards()),
       suspended_(std::move(opt_.suspended)) {
   const unsigned k = part_.num_shards();
@@ -539,7 +569,7 @@ std::size_t ShardedSim::rebalance_now() {
   std::vector<std::uint64_t> elems(nf, 0);
   for (const auto& e : engines_) e->accumulate_live_weights(elems);
 
-  // Pack on element counts, but give every live fault a floor of one unit:
+  // Cut on element counts, but give every live fault a floor of one unit:
   // a currently element-free live fault still costs its share of future
   // activations, and the floor keeps the fault *counts* from collapsing
   // onto one shard when most weights are zero.

@@ -8,6 +8,14 @@
 // deterministically -- each fault's verdict is read from its owner shard, so
 // results are bit-for-bit identical for any thread count, including 1.
 //
+// With K > 1 the shards are contiguous runs of the *site order*: fault ids
+// grouped by site gate, gates by (level, gate id), masked faults last,
+// built here in linear time.  A gate's site faults then sit in one shard
+// (bar the K - 1 gates a cut straddles), so every other shard finds the
+// gate empty and skips its merge (ConcurrentSim::merge_gate, DESIGN.md
+// section 18).  The rebalancer re-cuts the same order by live-element
+// weight, so a repartition moves only the faults near the cuts.
+//
 // All shards share one immutable SimModel (core/sim_model.h); only run
 // state (fault lists, pool, good machine, queue) is per shard.  Each shard
 // currently re-simulates its own good machine -- see DESIGN.md for the
@@ -50,7 +58,7 @@ namespace cfs {
 /// work/wall telemetry changes.
 struct RebalancePolicy {
   enum class Mode {
-    Off,   ///< static round-robin partition for the whole run
+    Off,   ///< the initial equal-count split for the whole run
     Auto,  ///< repartition when live-element imbalance crosses `threshold`
     Every  ///< repartition unconditionally every `every` vectors
   };
@@ -86,9 +94,9 @@ struct ShardedOptions {
   unsigned batch_width = 1;
   /// Dynamic shard rebalancing (no-op with a single shard).  At the end of
   /// a vector, when the policy triggers, the driver captures the merged
-  /// boundary snapshot, repartitions ownership by live-element weight
-  /// (greedy LPT), and restores every shard -- same machinery as a
-  /// checkpoint restore, so the run continues bit-identically.
+  /// boundary snapshot, re-cuts the site order at equal live-element
+  /// weight, and restores every shard -- same machinery as a checkpoint
+  /// restore, so the run continues bit-identically.
   RebalancePolicy rebalance;
   /// Initial suspension mask (size num_faults, or empty): marked faults are
   /// excluded from simulation until set_suspended()/restore_run_state()
@@ -237,12 +245,13 @@ class ShardedSim {
   // -- dynamic rebalancing --------------------------------------------------
 
   /// Repartition fault ownership by live-element weight right now: capture
-  /// the merged boundary snapshot, LPT-pack the per-fault live-element
-  /// counts into num_shards() bins, refresh every engine's ownership mask
-  /// (suspension overlay reapplied), and restore.  Must be called at a
-  /// vector boundary.  No-op (returns 0) with a single shard.  Returns the
-  /// number of faults migrated.  The policy calls this automatically; it is
-  /// public for tests and explicit schedules.
+  /// the merged boundary snapshot, re-cut the site order at equal
+  /// per-fault live-element weight (FaultPartition::partition_by_weight),
+  /// refresh every engine's ownership mask (suspension overlay reapplied),
+  /// and restore.  Must be called at a vector boundary.  No-op (returns 0)
+  /// with a single shard.  Returns the number of faults migrated.  The
+  /// policy calls this automatically; it is public for tests and explicit
+  /// schedules.
   std::size_t rebalance_now();
 
   /// Live-element imbalance across shards right now: heaviest shard over

@@ -99,7 +99,7 @@ struct Service::Session {
   std::atomic<bool> stop{false};
 
   // Update ring + live progress, guarded by umu.  ucv signals watchers on
-  // new updates and on terminal state transitions.
+  // new updates and on every state transition.
   std::mutex umu;
   std::condition_variable ucv;
   std::deque<std::string> updates;
@@ -114,6 +114,17 @@ struct Service::Session {
   std::uint32_t passes = 0;
   std::uint64_t ckpt_retries = 0;
   std::string error;
+
+  /// The only way `state` changes: stored under umu, so a watcher that has
+  /// just tested its predicate under umu cannot miss the wakeup.  Callers
+  /// that hold the Service mutex take it first (lock order mu_ -> umu).
+  void set_state(SessionState st) {
+    {
+      std::lock_guard<std::mutex> lk(umu);
+      state.store(st);
+    }
+    ucv.notify_all();
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -202,12 +213,12 @@ void Service::recover_sessions() {
         s->total_faults = r.req_u64("total");
         s->vectors = r.req_u64("vectors");
         s->passes = static_cast<std::uint32_t>(r.req_u64("passes"));
-        s->state.store(SessionState::Done);
+        s->set_state(SessionState::Done);
         sessions_[name] = s;
       } catch (const Error&) {
         // Unreadable result with a valid manifest: re-run from checkpoint.
         s->resumed_from_disk = true;
-        s->state.store(SessionState::Queued);
+        s->set_state(SessionState::Queued);
         sessions_[name] = s;
         queue_.push_back(name);
         ++counters_.resumed;
@@ -320,7 +331,7 @@ void Service::admit_from_queue_locked() {
     queue_.pop_front();
     elements_admitted_ += s->spec.elements;
     ++running_;
-    s->state.store(SessionState::Running);
+    s->set_state(SessionState::Running);
     start_worker_locked(s);
   }
   cv_.notify_all();
@@ -482,10 +493,9 @@ void Service::run_session(std::shared_ptr<Session> s) {
     }
     if (ran) counters_.checkpoint_write_retries += r.checkpoint_write_retries;
     s->stop.store(false, std::memory_order_relaxed);
-    s->state.store(final_state);
+    s->set_state(final_state);
     admit_from_queue_locked();
   }
-  s->ucv.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -613,7 +623,7 @@ std::string Service::op_open(const JsonValue& req) {
       ++counters_.attached;
       if (s->state.load() == SessionState::Halted) {
         // Reconnect to a halted (cancelled/drained) session: re-admit it.
-        s->state.store(SessionState::Queued);
+        s->set_state(SessionState::Queued);
         queue_.push_back(spec.name);
         admit_from_queue_locked();
       }
@@ -694,9 +704,13 @@ std::string Service::op_watch(const JsonValue& req) {
   std::unique_lock<std::mutex> lk(s->umu);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(wait_ms);
+  // News: an update past `after`, a state other than the one this watch
+  // began in (a queued session's admission), or a terminal state.
+  const SessionState seen = s->state.load();
   const auto have_news = [&] {
-    return s->first_seq + s->updates.size() > after + 1 ||
-           s->state.load() != SessionState::Running;
+    const SessionState st = s->state.load();
+    return s->first_seq + s->updates.size() > after + 1 || st != seen ||
+           (st != SessionState::Queued && st != SessionState::Running);
   };
   while (!have_news()) {
     if (s->ucv.wait_until(lk, deadline) == std::cv_status::timeout) break;
@@ -790,7 +804,7 @@ std::string Service::op_cancel(const JsonValue& req) {
   } else if (st == SessionState::Queued) {
     queue_.remove(name);
     if (s->on_disk) {
-      s->state.store(SessionState::Halted);
+      s->set_state(SessionState::Halted);
     } else {
       sessions_.erase(name);
     }

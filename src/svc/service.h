@@ -39,6 +39,9 @@
 // (timeline samples in the --stats-json schema, plus lifecycle events).  A
 // slow watcher does not block the campaign: when the ring wraps, the
 // watcher's next read skips ahead and reports how many updates it missed.
+// A `watch` blocks (up to its wait_ms) until there is news: an update past
+// its cursor, a state other than the one it began in, or a terminal state.
+// Watching a queued session therefore waits for its admission.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,12 @@
 // Concurrent fault simulator: behavioural unit tests on small circuits
 // where detections can be reasoned about by hand, consistency between the
-// four paper variants, and the one-settle vector loop (a clock's captured
-// masters stay pending until the next vector) across API boundaries.
+// four paper variants, the one-settle vector loop (a clock's captured
+// masters stay pending until the next vector) across API boundaries, and
+// the empty-gate merge skip's bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <tuple>
 
@@ -362,6 +365,157 @@ TEST(OneSettleLoop, PendingCaptureCrossesApiBoundariesTransition) {
   ASSERT_FALSE(ref.obs.empty());
   expect_same_run(mixed_engine(c, u, p, /*transition=*/true), ref);
   expect_same_run(sharded_hops(c, u, p), ref);
+}
+
+// ---------------------------------------------------------------------------
+// The empty-gate merge skip.  Its per-gate count of introducible site faults
+// must follow every change of ownership, suspension and status: a stale low
+// count silently skips a real merge.  validate() recounts, so each run below
+// validates after every vector and after every hook.
+// ---------------------------------------------------------------------------
+
+/// apply_only(), with `hook` run on the engine before vector `at`.
+LoopRun apply_with_hook(const Circuit& c, const FaultUniverse& u,
+                        const PatternSet& p, std::size_t at,
+                        const std::function<void(ConcurrentSim&)>& hook) {
+  LoopRun r;
+  std::size_t vec = 0;
+  ConcurrentSim sim(c, u);
+  sim.set_detection_observer(
+      [&](std::uint32_t f, std::uint32_t po, bool hard) {
+        r.obs.emplace_back(vec, f, po, hard);
+      });
+  sim.reset(Val::Zero);
+  for (vec = 0; vec < p.size(); ++vec) {
+    if (vec == at) {
+      hook(sim);
+      sim.validate();
+    }
+    sim.apply_vector(p[vec]);
+    sim.validate();
+  }
+  r.status = sim.status();
+  r.snap = sim.capture_run_state();
+  return r;
+}
+
+TEST(MergeSkip, SuspendRestoreUnsuspendRestoreMatchesFreshEngine) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 48, 5);
+  const LoopRun ref = apply_only(c, u, p);
+  std::vector<std::uint8_t> mask(u.size(), 0);
+  for (std::size_t id = 0; id < u.size(); id += 3) mask[id] = 1;
+  expect_same_run(
+      apply_with_hook(c, u, p, 17,
+                      [&](ConcurrentSim& sim) {
+                        const RunStateSnapshot snap = sim.capture_run_state();
+                        const std::vector<Detect> st = sim.status();
+                        sim.set_suspended(mask);
+                        sim.restore_run_state(snap, st);
+                        sim.validate();
+                        sim.set_suspended({});
+                        sim.restore_run_state(snap, st);
+                      }),
+      ref);
+}
+
+TEST(MergeSkip, SetShardRestoreMatchesFreshEngine) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 48, 5);
+  const LoopRun ref = apply_only(c, u, p);
+  expect_same_run(
+      apply_with_hook(c, u, p, 17,
+                      [&](ConcurrentSim& sim) {
+                        const RunStateSnapshot snap = sim.capture_run_state();
+                        const std::vector<Detect> st = sim.status();
+                        // Narrow to one half of the universe, then widen
+                        // back to all of it.
+                        sim.set_shard(FaultPartition(u.size(), 2), 1);
+                        sim.restore_run_state(snap, st);
+                        sim.validate();
+                        sim.set_shard(FaultPartition(u.size(), 1), 0);
+                        sim.restore_run_state(snap, st);
+                      }),
+      ref);
+}
+
+TEST(MergeSkip, AdoptStatusResetMatchesFreshEngine) {
+  // Two sequences.  The reference resets one engine between them; the
+  // resumed run hands the first engine's status to a new engine, which
+  // must drop the already-detected faults from its site counts.
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 48, 5);
+  constexpr std::size_t kSecond = 20;
+  LoopRun ref, got;
+  std::size_t vec = 0;
+  const auto observer = [&vec](LoopRun& r) {
+    return [&r, &vec](std::uint32_t f, std::uint32_t po, bool hard) {
+      r.obs.emplace_back(vec, f, po, hard);
+    };
+  };
+
+  ConcurrentSim one(c, u);
+  one.set_detection_observer(observer(ref));
+  one.reset(Val::Zero);
+  for (vec = 0; vec < p.size(); ++vec) {
+    if (vec == kSecond) one.reset(Val::Zero);
+    one.apply_vector(p[vec]);
+  }
+  ref.status = one.status();
+  ref.snap = one.capture_run_state();
+
+  auto sim = std::make_unique<ConcurrentSim>(c, u);
+  sim->set_detection_observer(observer(got));
+  sim->reset(Val::Zero);
+  for (vec = 0; vec < p.size(); ++vec) {
+    if (vec == kSecond) {
+      const std::vector<Detect> st = sim->status();
+      ASSERT_GT(std::count(st.begin(), st.end(), Detect::Hard), 0);
+      sim = std::make_unique<ConcurrentSim>(c, u);
+      sim->set_detection_observer(observer(got));
+      sim->adopt_status(st);
+      sim->reset(Val::Zero);
+      sim->validate();
+    }
+    sim->apply_vector(p[vec]);
+    sim->validate();
+  }
+  got.status = sim->status();
+  got.snap = sim->capture_run_state();
+  expect_same_run(got, ref);
+}
+
+TEST(MergeSkip, EveryShardValidatesAfterEveryVector) {
+  // Four site-ordered shards, re-cut every five vectors: every shard's
+  // counts stay exact through set_shard, restore and dropping, while a
+  // large share of the gate visits skips its merge.
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 48, 5);
+  const LoopRun ref = apply_only(c, u, p);
+  ShardedOptions opt;
+  opt.num_threads = 4;
+  opt.rebalance.mode = RebalancePolicy::Mode::Every;
+  opt.rebalance.every = 5;
+  ShardedSim sim(c, u, opt);
+  sim.reset(Val::Zero);
+  for (std::size_t vec = 0; vec < p.size(); ++vec) {
+    sim.apply_vector(p[vec]);
+    for (unsigned s = 0; s < sim.num_shards(); ++s) {
+      ASSERT_NO_THROW(sim.engine(s).validate())
+          << "shard " << s << ", vector " << vec;
+    }
+  }
+  EXPECT_EQ(sim.status(), ref.status);
+  EXPECT_GT(sim.rebalances(), 0u);
+#if CFS_OBS_ENABLED
+  const SimStats st = sim.stats();
+  EXPECT_GT(4 * st.total.counters.get(obs::Counter::MergesSkipped),
+            st.total.gates_processed);
+#endif
 }
 
 }  // namespace

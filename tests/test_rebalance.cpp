@@ -1,10 +1,11 @@
-// Dynamic shard rebalancing: weighted LPT partitioning determinism, the
-// partition-invariance of live-element weights, bit-identical results
-// across threads x batch x rebalance policy (status, detection order,
-// deterministic counters, campaign digest), checkpoint/resume composition,
-// and the rebalance telemetry (SimStats, timeline samples).
+// Dynamic shard rebalancing: pins and load bound of the contiguous weighted
+// re-cut, the partition-invariance of live-element weights, bit-identical
+// results across threads x batch x rebalance policy (status, detection
+// order, deterministic counters, campaign digest), checkpoint/resume
+// composition, and the rebalance telemetry (SimStats, timeline samples).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -47,28 +48,54 @@ RebalancePolicy auto_policy(double threshold, std::uint64_t cooldown) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultPartition weighted mode
+// FaultPartition: re-cutting the order by weight
 // ---------------------------------------------------------------------------
 
-TEST(WeightedPartition, LptPackingIsDeterministicAndPinned) {
+TEST(WeightedPartition, ContiguousCutIsDeterministicAndPinned) {
   FaultPartition p(6, 2);
+  // The initial split cuts the ascending-id order in half.
+  const std::vector<std::uint32_t> half0 = {0, 1, 2};
+  EXPECT_EQ(p.shard(0), half0);
   const std::vector<std::uint64_t> w = {10, 30, 20, 20, 5, 15};
-  // LPT places heaviest-first (ties: lower id), each onto the least-loaded
-  // shard (ties: lowest index).  Hand-packed expectation:
-  //   id1(30)->s0  id2(20)->s1  id3(20)->s1  id5(15)->s0
-  //   id0(10)->s1  id4(5)->s0        loads: s0 = s1 = 50.
+  // Total 100: a fault belongs to shard 0 when its weight midpoint lies
+  // below 50.  Midpoints in order: 5, 25 | 50, 70, 82.5, 92.5.
+  //   s0 = {0, 1} (load 40)   s1 = {2, 3, 4, 5} (load 60)
   const std::size_t moved = p.partition_by_weight(w);
-  EXPECT_TRUE(p.weighted());
-  const std::vector<std::uint32_t> want_s0 = {1, 4, 5};
-  const std::vector<std::uint32_t> want_s1 = {0, 2, 3};
+  const std::vector<std::uint32_t> want_s0 = {0, 1};
+  const std::vector<std::uint32_t> want_s1 = {2, 3, 4, 5};
   EXPECT_EQ(p.shard(0), want_s0);
   EXPECT_EQ(p.shard(1), want_s1);
-  // Round-robin owners were {0,1,0,1,0,1}; ids 0, 1, 2, 5 changed.
-  EXPECT_EQ(moved, 4u);
-  // Repacking the same weights is a fixed point: nothing moves.
+  // Only fault 2, whose midpoint sits on the cut, changed owner.
+  EXPECT_EQ(moved, 1u);
+  // Re-cutting the same weights is a fixed point: nothing moves.
   EXPECT_EQ(p.partition_by_weight(w), 0u);
   EXPECT_EQ(p.shard(0), want_s0);
   EXPECT_EQ(p.shard(1), want_s1);
+}
+
+TEST(WeightedPartition, CutFollowsTheGivenOrder) {
+  // Order positions 0..5 hold ids 5, 3, 1, 0, 2, 4.  Two per shard:
+  FaultPartition p(6, 3, {5, 3, 1, 0, 2, 4});
+  EXPECT_EQ(p.shard(0), (std::vector<std::uint32_t>{3, 5}));
+  EXPECT_EQ(p.shard(1), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(p.shard(2), (std::vector<std::uint32_t>{2, 4}));
+  // Weights in order: 0, 6, 0, 4, 2, 0 (total 12, cuts at 4 and 8).
+  // Midpoints: 0, 3 | 6 | 8, 11, 12 -- the trailing zero-weight fault sits
+  // on the far end and stays in the last shard.
+  std::vector<std::uint64_t> w(6, 0);
+  w[3] = 6;
+  w[0] = 4;
+  w[2] = 2;
+  EXPECT_EQ(p.partition_by_weight(w), 1u);  // fault 0: shard 1 -> 2
+  EXPECT_EQ(p.shard(0), (std::vector<std::uint32_t>{3, 5}));
+  EXPECT_EQ(p.shard(1), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(p.shard(2), (std::vector<std::uint32_t>{0, 2, 4}));
+}
+
+TEST(WeightedPartition, RejectsAnOrderThatIsNotAPermutation) {
+  EXPECT_THROW(FaultPartition(4, 2, {0, 1, 2}), Error);
+  EXPECT_THROW(FaultPartition(4, 2, {0, 1, 1, 3}), Error);
+  EXPECT_THROW(FaultPartition(4, 2, {0, 1, 2, 4}), Error);
 }
 
 TEST(WeightedPartition, CoverStaysDisjointSortedAndSized) {
@@ -98,30 +125,61 @@ TEST(WeightedPartition, CoverStaysDisjointSortedAndSized) {
   for (std::size_t i = 0; i < nf; ++i) EXPECT_EQ(seen[i], 1u) << "fault " << i;
 }
 
-TEST(WeightedPartition, BalancesLoadsWithinLptBound) {
+TEST(WeightedPartition, BalancesLoadsWithinCutBound) {
   const std::size_t nf = 400;
-  FaultPartition p(nf, 4);
-  std::vector<std::uint64_t> w(nf);
-  std::uint64_t sum = 0;
+  // A scrambled order, as the site order is relative to fault ids.
+  std::vector<std::uint32_t> order(nf);
   for (std::size_t i = 0; i < nf; ++i) {
-    w[i] = 1 + (i * 7919) % 97;
+    order[i] = static_cast<std::uint32_t>((i * 263) % nf);
+  }
+  std::vector<std::uint64_t> w(nf);
+  std::uint64_t sum = 0, largest = 0;
+  for (std::size_t i = 0; i < nf; ++i) {
+    w[i] = (i * 7919) % 97;  // includes zero weights
     sum += w[i];
+    largest = std::max(largest, w[i]);
   }
-  p.partition_by_weight(w);
-  std::uint64_t heaviest = 0;
-  for (unsigned s = 0; s < 4; ++s) {
-    std::uint64_t load = 0;
-    for (std::uint32_t id : p.shard(s)) load += w[id];
-    heaviest = std::max(heaviest, load);
+  for (unsigned k : {2u, 3u, 4u, 7u}) {
+    FaultPartition p(nf, k, order);
+    p.partition_by_weight(w);
+    std::uint64_t heaviest = 0;
+    for (unsigned s = 0; s < k; ++s) {
+      std::uint64_t load = 0;
+      for (std::uint32_t id : p.shard(s)) load += w[id];
+      heaviest = std::max(heaviest, load);
+    }
+    // Each shard holds the faults whose midpoints fall in its 1/K of the
+    // total, so it overshoots by at most half a weight at either end.
+    EXPECT_LE(k * heaviest, sum + k * largest) << k << " shards";
+    // Each shard is one contiguous run of the order.
+    for (std::size_t i = 1; i < nf; ++i) {
+      EXPECT_LE(p.shard_of(order[i - 1]), p.shard_of(order[i]))
+          << k << " shards, position " << i;
+    }
+    // Unchanged weights: the re-cut is a fixed point.
+    EXPECT_EQ(p.partition_by_weight(w), 0u) << k << " shards";
   }
-  // Greedy LPT is within 4/3 of the optimum, and the optimum is at least
-  // the balanced share.
-  EXPECT_LE(3 * heaviest, sum);  // heaviest <= (4/3) * (sum/4)
+}
+
+TEST(WeightedPartition, ZeroTotalWeightSplitsTheCountEvenly) {
+  const std::vector<std::uint32_t> order = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+  const FaultPartition fresh(10, 3, order);
+  FaultPartition p(10, 3, order);
+  std::vector<std::uint64_t> w(10, 0);
+  w[9] = 50;  // everything else on the last shard
+  ASSERT_GT(p.partition_by_weight(w), 0u);
+  EXPECT_GT(p.partition_by_weight(std::vector<std::uint64_t>(10, 0)), 0u);
+  for (unsigned s = 0; s < 3; ++s) {
+    EXPECT_EQ(p.shard(s), fresh.shard(s)) << "shard " << s;
+  }
+  EXPECT_EQ(p.shard(0), (std::vector<std::uint32_t>{7, 8, 9}));
+  EXPECT_EQ(p.shard(1), (std::vector<std::uint32_t>{3, 4, 5, 6}));
+  EXPECT_EQ(p.shard(2), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(WeightedPartition, MergeReadsOwnerShardAfterRepartition) {
   FaultPartition p(6, 2);
-  ASSERT_EQ(p.partition_by_weight({10, 30, 20, 20, 5, 15}), 4u);
+  ASSERT_EQ(p.partition_by_weight({10, 30, 20, 20, 5, 15}), 1u);
   // Owner shard says Hard; the foreign shard disagrees on every fault.
   std::vector<Detect> a(6, Detect::None), b(6, Detect::None);
   for (std::uint32_t id = 0; id < 6; ++id) {
@@ -339,7 +397,7 @@ TEST(RebalanceCampaign, CheckpointBetweenRebalancesResumesBitIdentical) {
   // Rebalance every 3 vectors, checkpoint every 7: the halt at vector 26
   // lands between a rebalance (24) and the next checkpoint (28), so the
   // resume restores a snapshot whose partition history differs from what
-  // the resumed simulator (fresh round-robin) starts with.
+  // the resumed simulator (fresh equal-count split) starts with.
   const std::string ck = tmp_path("rebalance_resume.ck");
   CampaignOptions first;
   first.sharded.num_threads = 2;

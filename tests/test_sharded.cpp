@@ -5,6 +5,7 @@
 // model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "core/sim_model.h"
 #include "faults/partition.h"
 #include "gen/circuit_gen.h"
+#include "gen/iscas_profiles.h"
 #include "netlist/macro_extract.h"
 #include "patterns/pattern.h"
 #include "sim/sharded_sim.h"
@@ -365,6 +367,41 @@ TEST(ShardedSim, MemoryTableStaysTruthfulUnderShards) {
   EXPECT_EQ(fault_elements, pools);
   EXPECT_EQ(total, sim.bytes() + c.bytes());
   EXPECT_EQ(ms.current(), total);
+}
+
+TEST(ShardedSim, ShardsAreSiteOrdered) {
+  // A shard is a contiguous run of the site order, so a gate's site faults
+  // share one shard unless a cut falls inside the gate's run: at most K - 1
+  // gates straddle.  The initial cut is by count, so sizes differ by <= 1.
+  const Circuit c = make_benchmark("s5378");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  ShardedOptions sopt;
+  sopt.num_threads = 4;
+  const ShardedSim sim(c, u, sopt);
+  const FaultPartition& part = sim.partition();
+  ASSERT_EQ(part.num_shards(), 4u);
+
+  std::size_t mn = u.size(), mx = 0;
+  for (unsigned s = 0; s < 4; ++s) {
+    mn = std::min(mn, part.shard_size(s));
+    mx = std::max(mx, part.shard_size(s));
+  }
+  EXPECT_LE(mx - mn, 1u);
+
+  std::size_t straddling = 0, multi_fault_gates = 0;
+  for (GateId g = 0; g < c.num_gates(); ++g) {
+    const auto site = sim.model().site_faults(g);
+    if (site.size() < 2) continue;
+    ++multi_fault_gates;
+    for (const std::uint32_t id : site) {
+      if (part.shard_of(id) != part.shard_of(site[0])) {
+        ++straddling;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(multi_fault_gates, 100u);
+  EXPECT_LE(straddling, 3u);
 }
 
 TEST(ShardedSim, ShardCountClampedToUniverse) {

@@ -276,6 +276,63 @@ TEST(SvcUpdates, SlowWatcherSkipsAheadInsteadOfBlockingTheCampaign) {
       call(s, "{\"op\":\"stats\"}").find("svc")->req_u64("updates_shed"), 0u);
 }
 
+TEST(SvcUpdates, WatchOnQueuedSessionBlocksUntilAdmission) {
+  const std::string circuit = bench_text("s27");
+  const std::string tests = suite_text(4);
+  ServiceConfig cfg = base_config(fresh_dir("svc_watch_queued"));
+  cfg.max_sessions = 1;
+  // Pin the only slot: the first session's shard stalls 1 s at vector 0.
+  resil::FaultInjector injector;
+  for (const auto& spec : resil::FaultInjector::parse("stall:0:0:1000:1")) {
+    injector.add(spec);
+  }
+  cfg.injector = &injector;
+  Service s(cfg);
+  ASSERT_TRUE(
+      call(s, open_request("slow", circuit, tests)).find("ok")->as_bool());
+
+  // The second open waits for admission, so it runs beside the watcher
+  // (a jthread: a failed ASSERT below still joins it).
+  std::jthread opener(
+      [&] { call(s, open_request("next", circuit, tests)); });
+  std::string state;
+  for (int i = 0; i < 2000 && state != "queued"; ++i) {
+    const JsonValue r = call(s, "{\"op\":\"status\",\"session\":\"next\"}");
+    if (r.find("ok")->as_bool()) state = r.req_string("state");
+    if (state != "queued") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(state, "queued");
+
+  // Queued is not news: a short watch sleeps out its wait_ms instead of
+  // returning at once and sending the client round again.
+  const auto watch_next = [&](int wait_ms) {
+    return call(s, "{\"op\":\"watch\",\"session\":\"next\",\"after\":0,"
+                   "\"wait_ms\":" + std::to_string(wait_ms) + "}");
+  };
+  auto t0 = std::chrono::steady_clock::now();
+  JsonValue w = watch_next(150);
+  auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(w.find("ok")->as_bool());
+  if (w.req_string("state") == "queued") {
+    EXPECT_GE(waited, std::chrono::milliseconds(140));
+  }
+
+  // Admission is: a long watch returns when the slot frees up, well
+  // before its wait_ms.
+  t0 = std::chrono::steady_clock::now();
+  w = watch_next(20000);
+  waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(w.find("ok")->as_bool());
+  EXPECT_NE(w.req_string("state"), "queued");
+  EXPECT_LT(waited, std::chrono::seconds(15));
+
+  opener.join();
+  EXPECT_EQ(wait_terminal(s, "next").req_string("state"), "done");
+  EXPECT_EQ(wait_terminal(s, "slow").req_string("state"), "done");
+}
+
 // ---------------------------------------------------------------------------
 // Cancel -> halted -> resume, and crash recovery
 // ---------------------------------------------------------------------------

@@ -204,9 +204,9 @@ void print_shard_stats(const RunResult& r) {
 }
 
 // --rebalance=off|auto|N picks the dynamic shard-rebalancing policy
-// (sim/sharded_sim.h): off keeps the static round-robin partition, auto
-// repartitions when the live-element imbalance ratio crosses
-// --rebalance-threshold (default 1.25), and a number N repartitions
+// (sim/sharded_sim.h): off keeps the initial equal-count split, auto
+// re-cuts it by live-element weight when the imbalance ratio crosses
+// --rebalance-threshold (default 1.25), and a number N re-cuts
 // unconditionally every N vectors.  Results are bit-identical for every
 // policy; only the work/wall telemetry changes.
 RebalancePolicy parse_rebalance(const Args& args) {

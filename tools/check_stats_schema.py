@@ -9,7 +9,9 @@ The pinned shape includes the two-dimensional parallelism fields: meta.batch
 (pattern-lane width, >= 1 next to meta.threads) and the packed good-machine
 counters batch_words_evaluated / batch_lanes_wasted, required in
 totals.counters (zero on scalar runs); the driver timers may carry a
-good_batch phase on batched runs.
+good_batch phase on batched runs.  totals.counters also requires
+merges_skipped (gate merges the engines skipped as empty; element-level,
+so its value depends on the shard count).
 
 It also pins the telemetry blocks (obs/timeline.h, obs/histogram.h): a
 top-level "timeline" object (always present; zero-dimension and empty when
