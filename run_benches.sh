@@ -58,20 +58,6 @@ fi
 ./build/bench/micro_kernels --benchmark_min_time=$MICRO_MIN_TIME \
   --json="$OUTDIR/micro_kernels.json" | tee "$OUTDIR/micro_kernels.txt"
 
-# SIMD kernel roofline: every ISA kernel table this build + host carries,
-# timed in one process, distilled into $OUTDIR/ROOFLINE_PR10.json.  The
-# same-process scalar-vs-vector speedups are the drift-free perf evidence;
-# the gate requires the bitmap sweep kernel (find_nonzero) to hold its
-# vector win (see DESIGN.md section 16 for why only that kernel is gated).
-./build/bench/micro_simd --benchmark_min_time=$MICRO_MIN_TIME \
-  --json="$OUTDIR/micro_simd.json" | tee "$OUTDIR/micro_simd.txt"
-python3 tools/make_roofline.py \
-  --micro-simd "$OUTDIR/micro_simd.json" \
-  --micro-kernels "$OUTDIR/micro_kernels.json" \
-  --baseline results/BENCH_PR5.json \
-  --gate BM_SimdFindNonzero --min-speedup 1.5 \
-  --out "$OUTDIR/ROOFLINE_PR10.json"
-
 if [ "$EMIT_JSON" = 1 ]; then
   python3 tools/make_bench_baseline.py \
     --micro "$OUTDIR/micro_kernels.json" \

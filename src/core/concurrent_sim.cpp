@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "faults/transition_model.h"
-#include "simd/simd.h"
 #include "util/error.h"
 #include "util/prefetch.h"
 
@@ -20,7 +19,6 @@ ConcurrentSim::ConcurrentSim(std::shared_ptr<const SimModel> model,
     : model_(std::move(model)),
       c_(&model_->circuit()),
       descr_(model_->descriptors()),
-      simd_(&simd::kernels()),
       opt_(opt),
       transition_mode_(model_->transition_mode()),
       queue_(*c_) {
@@ -398,19 +396,14 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
   std::uint64_t merge_steps = 0;   // merge-loop iterations == element evals
   std::uint64_t merge_walked = 0;  // source-list elements consumed
 #endif
-  // Phase A -- scalar multi-list walk into SoA scratch.  Only *site* faults
-  // of g ever consult their descriptor (pin forcing, macro tables, output
-  // forcing): a fault sited elsewhere is, at g, a plain gate evaluation of
-  // its assembled pin state.  Site membership needs no descriptor load
-  // either -- the site span is always one of the merge sources, so the
-  // span cursor `si` identifies every sited element, including one looping
-  // back through flip-flops into a fanin list.  Site elements evaluate
-  // inline via eval_element (side effects: held-transition bookkeeping,
-  // MacroTableLookups, elements_evaluated_) and park their finished output
-  // code in merge_special_; everything else defers to the batched Phase B.
-  merge_ids_.clear();
-  merge_sts_.clear();
-  merge_special_.clear();
+  // One pass in ascending fault-id order: assemble each element's pin
+  // state, evaluate it, and classify it.  Only *site* faults of g ever
+  // consult their descriptor (pin forcing, macro tables, output forcing):
+  // a fault sited elsewhere is, at g, a plain gate evaluation of its
+  // assembled pin state.  Site membership needs no descriptor load either
+  // -- the site span is always one of the merge sources, so the span
+  // cursor `si` identifies every sited element, including one looping back
+  // through flip-flops into a fanin list.
   for (;;) {
     std::uint32_t m = si < site.size() ? site[si] : kSentinelId;
     for (unsigned p = 0; p < nf; ++p) m = std::min(m, fc[p].id);
@@ -434,15 +427,27 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
 #endif
       }
     }
+    Val out;
     if (si < site.size() && site[si] == m) {
-      const Val out = eval_element(g, m, st);
-      merge_special_.emplace_back(
-          static_cast<std::uint32_t>(merge_ids_.size()), code(out));
+      out = eval_element(g, m, st);
       ++si;
       while (si < site.size() && skip_site(site[si])) ++si;
+    } else {
+      ++elements_evaluated_;
+      out = eval_gate(g, st);
     }
-    merge_ids_.push_back(m);
-    merge_sts_.push_back(st);
+    // Visible: the output disagrees with the new good output.  Invisible:
+    // it agrees but some input pin differs (the output slot sits above
+    // in_mask, so testing the pin state is exact).  Converged elements
+    // emit nothing.
+    if (out != new_good_out) {
+      CFS_COUNT(counters_, ElementsCopied);
+      scratch_vis_.emplace_back(m, state_set_out(st, out));
+    } else if (((st ^ good) & in_mask) != 0) {
+      CFS_COUNT(counters_, ElementsCopied);
+      (opt_.split_lists ? scratch_inv_ : scratch_vis_)
+          .emplace_back(m, state_set_out(st, out));
+    }
   }
 #if CFS_OBS_ENABLED
   // Bulk census for the quiet cursors above: every cursor visited exactly
@@ -451,84 +456,6 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
   CFS_COUNT_N(counters_, ElementsTraversed, merge_walked);
   CFS_COUNT_N(counters_, SentinelHits, nf);
 #endif
-
-  // Phase B -- evaluate the deferred elements.  All of them share gate g's
-  // eval table, so the batch is one index pass and one gather against a
-  // single table (wide gates add a scalar high-chunk/join tail); site
-  // specials just overwrite their slot with the Phase A result.  The fold
-  // oracle and tiny batches take the per-element scalar route instead --
-  // eval_gate keeps the counters identical either way.
-  const std::size_t nm = merge_ids_.size();
-  merge_out_.resize(nm);
-  const Circuit::GateEval ev = c_->gate_eval(g);
-  if (opt_.fold_eval || ev.lo == nullptr || nm < kBatchEvalMin) {
-    std::size_t sp = 0;
-    for (std::size_t i = 0; i < nm; ++i) {
-      if (sp < merge_special_.size() && merge_special_[sp].first == i) {
-        merge_out_[i] = merge_special_[sp++].second;
-        continue;
-      }
-      ++elements_evaluated_;
-      merge_out_[i] = code(eval_gate(g, merge_sts_[i]));
-    }
-  } else {
-    const simd::Kernels& K = *simd_;
-    merge_idx_.resize(nm);
-    K.state_indices(merge_sts_.data(), nm, 0, ev.lo_mask, merge_idx_.data());
-    K.gather_u8(ev.lo, merge_idx_.data(), nm, merge_out_.data());
-    if (ev.hi != nullptr) {
-      for (std::size_t i = 0; i < nm; ++i) {
-        const std::uint8_t c1 =
-            ev.hi[static_cast<std::uint32_t>(
-                      merge_sts_[i] >> (2 * kEvalChunkPins)) &
-                  ev.hi_mask];
-        merge_out_[i] = ev.join[(merge_out_[i] << 2) | c1];
-      }
-    }
-    for (const auto& [pos, oc] : merge_special_) merge_out_[pos] = oc;
-    CFS_COUNT_N(counters_, TableEvals, nm - merge_special_.size());
-    elements_evaluated_ += nm - merge_special_.size();
-  }
-
-  // Phase C -- classify and emit in merge order.  Visible: output disagrees
-  // with the new good output.  Invisible: output agrees but some input pin
-  // differs (the output slot sits above in_mask, so testing the Phase A
-  // state is exact).  Converged elements emit nothing.  The emitted state
-  // re-stamps the output slot, which for specials rewrites the value
-  // eval_element already stored.
-  const std::uint8_t good_code = code(new_good_out);
-  if (nm >= kBatchEvalMin) {
-    const simd::Kernels& K = *simd_;
-    merge_cls_.resize(nm);
-    K.classify(merge_sts_.data(), merge_out_.data(), nm, good, in_mask,
-               good_code, merge_cls_.data());
-    for (std::size_t i = 0; i < nm; ++i) {
-      const std::uint8_t cls = merge_cls_[i];
-      if (cls == 0) continue;
-      CFS_COUNT(counters_, ElementsCopied);
-      const GateState st =
-          state_set_out(merge_sts_[i], from_code(merge_out_[i]));
-      if (cls == 1) {
-        scratch_vis_.emplace_back(merge_ids_[i], st);
-      } else {
-        (opt_.split_lists ? scratch_inv_ : scratch_vis_)
-            .emplace_back(merge_ids_[i], st);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < nm; ++i) {
-      const std::uint8_t oc = merge_out_[i];
-      const GateState st = state_set_out(merge_sts_[i], from_code(oc));
-      if (oc != good_code) {
-        CFS_COUNT(counters_, ElementsCopied);
-        scratch_vis_.emplace_back(merge_ids_[i], st);
-      } else if (((merge_sts_[i] ^ good) & in_mask) != 0) {
-        CFS_COUNT(counters_, ElementsCopied);
-        (opt_.split_lists ? scratch_inv_ : scratch_vis_)
-            .emplace_back(merge_ids_[i], st);
-      }
-    }
-  }
 
   // Work-attribution heatmaps: where the merge effort lands.  The produced
   // list length and divergence size are distribution samples; the level
@@ -658,9 +585,8 @@ void ConcurrentSim::process_level(const GateId* gates, std::size_t n) {
   // Good values first.  Every fanin of a level-L gate is strictly below L
   // and already settled, and gates of one level never feed each other, so
   // pre-evaluating the whole level reads exactly the states a per-gate
-  // loop would have read.  Only the grouping of TableEvals bumps changes;
-  // the totals stay identical.  With the batch oracle armed the settled
-  // good values are already known: read them from the packed slab.
+  // loop would have read.  With the batch oracle armed the settled good
+  // values are already known: read them from the packed slab.
   lvl_good_.resize(n);
   if (good_oracle_ != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -668,12 +594,10 @@ void ConcurrentSim::process_level(const GateId* gates, std::size_t n) {
           w_get(good_oracle_[std::size_t{gates[i]} * good_oracle_stride_],
                 good_oracle_lane_);
     }
-  } else if (opt_.fold_eval || n < kBatchEvalMin) {
+  } else {
     for (std::size_t i = 0; i < n; ++i) {
       lvl_good_[i] = eval_gate(gates[i], good_state_[gates[i]]);
     }
-  } else {
-    batch_eval_good(gates, n);
   }
   for (std::size_t i = 0; i < n; ++i) {
     const GateId g = gates[i];
@@ -690,72 +614,6 @@ void ConcurrentSim::process_level(const GateId* gates, std::size_t n) {
         if (is_combinational(c_->kind(fo.gate))) queue_.schedule(fo.gate);
       }
     }
-  }
-}
-
-void ConcurrentSim::batch_eval_good(const GateId* gates, std::size_t n) {
-  // Group the level's gates by shared eval table -- the (lo, hi) pointer
-  // pair keys one (kind, arity) class (macros are singleton classes backed
-  // by their private truth table) -- then evaluate each run with the SIMD
-  // gather kernels: pack the state words, derive the masked table indices,
-  // gather the output codes in one vector pass.  Wide gates compose the
-  // high-chunk reduction and join scalarly on top of the gathered low
-  // chunk; sources (lo == null) are an output-slot passthrough.
-  const simd::Kernels& K = *simd_;
-  lvl_order_.resize(n);
-  lvl_st_.resize(n);
-  lvl_idx_.resize(n);
-  lvl_out_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lvl_order_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(lvl_order_.begin(), lvl_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const Circuit::GateEval ea = c_->gate_eval(gates[a]);
-              const Circuit::GateEval eb = c_->gate_eval(gates[b]);
-              if (ea.lo != eb.lo) return ea.lo < eb.lo;
-              return ea.hi < eb.hi;
-            });
-  // eval_gate() counts one TableEvals per gate regardless of kind; the
-  // batched path owes the same total.
-  CFS_COUNT_N(counters_, TableEvals, n);
-  std::size_t r = 0;
-  while (r < n) {
-    const Circuit::GateEval e = c_->gate_eval(gates[lvl_order_[r]]);
-    std::size_t rend = r + 1;
-    while (rend < n) {
-      const Circuit::GateEval e2 = c_->gate_eval(gates[lvl_order_[rend]]);
-      if (e2.lo != e.lo || e2.hi != e.hi) break;
-      ++rend;
-    }
-    const std::size_t cnt = rend - r;
-    if (e.lo == nullptr) {
-      for (std::size_t k = r; k < rend; ++k) {
-        const std::uint32_t j = lvl_order_[k];
-        lvl_good_[j] = state_out(good_state_[gates[j]]);
-      }
-    } else {
-      for (std::size_t k = 0; k < cnt; ++k) {
-        lvl_st_[k] = good_state_[gates[lvl_order_[r + k]]];
-      }
-      K.state_indices(lvl_st_.data(), cnt, 0, e.lo_mask, lvl_idx_.data());
-      K.gather_u8(e.lo, lvl_idx_.data(), cnt, lvl_out_.data());
-      if (e.hi == nullptr) {
-        for (std::size_t k = 0; k < cnt; ++k) {
-          lvl_good_[lvl_order_[r + k]] = from_code(lvl_out_[k]);
-        }
-      } else {
-        for (std::size_t k = 0; k < cnt; ++k) {
-          const std::uint8_t c1 =
-              e.hi[static_cast<std::uint32_t>(lvl_st_[k] >>
-                                              (2 * kEvalChunkPins)) &
-                   e.hi_mask];
-          lvl_good_[lvl_order_[r + k]] =
-              from_code(e.join[(lvl_out_[k] << 2) | c1]);
-        }
-      }
-    }
-    r = rend;
   }
 }
 

@@ -408,15 +408,11 @@ class ConcurrentSim {
   bool merge_gate(GateId g, Val new_good_out);
   // The settle's unit of work: one whole ready level at a time
   // (drain_levels).  Good values of the entire level are evaluated up
-  // front -- gates of one level never feed each other, so every
-  // good_state_ the level reads is already final -- then each gate merges
-  // in ascending-id order and, if its good value or visible list changed,
-  // schedules its fanout.
+  // front, one eval_gate lookup per gate -- gates of one level never feed
+  // each other, so every good_state_ the level reads is already final --
+  // then each gate merges in ascending-id order and, if its good value or
+  // visible list changed, schedules its fanout.
   void process_level(const GateId* gates, std::size_t n);
-  // Grouped table evaluation of a level's good values into lvl_good_:
-  // gates sharing an eval table (same (kind, arity) class, or one macro)
-  // are gathered in vector passes; sources and wide-join tails stay scalar.
-  void batch_eval_good(const GateId* gates, std::size_t n);
   void commit_good(GateId g, Val v);
   void free_list(std::uint32_t& head);
   std::uint32_t build_list(const std::vector<std::pair<std::uint32_t, GateState>>& items);
@@ -487,11 +483,6 @@ class ConcurrentSim {
   std::shared_ptr<const SimModel> model_;
   const Circuit* c_;      // == &model_->circuit(), cached for the hot path
   const FaultDescriptor* descr_;  // == model_->descriptors()
-  // Active SIMD kernel table, captured at construction (ISA selection --
-  // simd::set_isa / --simd -- happens once at startup, before any engine
-  // exists).  Every table computes bit-identical results, so even a late
-  // switch could only change speed, never behaviour.
-  const simd::Kernels* simd_;
   CsimOptions opt_;
   bool transition_mode_ = false;
 
@@ -536,26 +527,8 @@ class ConcurrentSim {
   std::vector<std::vector<std::pair<std::uint32_t, GateState>>> latch_lists_;
   bool masters_pending_ = false;
 
-  // Batched-settle scratch (process_level / batch_eval_good).  Levels
-  // below kBatchEvalMin gates evaluate scalarly: the grouping sort costs
-  // more than a handful of table lookups.
-  static constexpr std::size_t kBatchEvalMin = 8;
+  // process_level scratch: the good values of the level being settled.
   std::vector<Val> lvl_good_;
-  std::vector<std::uint32_t> lvl_order_;
-  std::vector<std::uint64_t> lvl_st_;
-  std::vector<std::uint32_t> lvl_idx_;
-  std::vector<std::uint8_t> lvl_out_;
-
-  // Merge SoA scratch (the 3-phase merge_gate): element ids and assembled
-  // states from the Phase A walk, output codes and classes from the batched
-  // Phase B/C kernels, plus the (position, output code) list of site-fault
-  // specials evaluated inline.
-  std::vector<std::uint32_t> merge_ids_;
-  std::vector<std::uint64_t> merge_sts_;
-  std::vector<std::uint8_t> merge_out_;
-  std::vector<std::uint32_t> merge_idx_;
-  std::vector<std::uint8_t> merge_cls_;
-  std::vector<std::pair<std::uint32_t, std::uint8_t>> merge_special_;
 
   // Merge scratch (reused across calls).
   std::vector<std::pair<std::uint32_t, GateState>> scratch_vis_, scratch_inv_;

@@ -4,7 +4,6 @@
 
 #include "obs/json_stats.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 #include "util/error.h"
 
 namespace cfs {
@@ -48,13 +47,6 @@ void write_run_stats_json(std::ostream& os, const RunMetadata& meta,
   w.field("vectors", static_cast<std::uint64_t>(meta.vectors));
   w.field("sequences", static_cast<std::uint64_t>(meta.sequences));
   w.field("ff_init", meta.ff_init);
-  // Kernel provenance: a digest or counter mismatch across hosts must be
-  // traceable to the kernel set that produced it (DESIGN.md §16).
-  w.field("isa", meta.isa.empty() ? std::string(simd::active_isa_name())
-                                  : meta.isa);
-  w.field("simd_width",
-          std::uint64_t{meta.simd_width != 0 ? meta.simd_width
-                                             : simd::active_simd_width_bits()});
   w.end_object();
 
   w.key("coverage");

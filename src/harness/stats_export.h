@@ -21,11 +21,6 @@ struct RunMetadata {
   std::size_t vectors = 0;
   std::size_t sequences = 0;
   std::string ff_init = "X";    ///< "X" | "0" | "1"
-  /// Kernel provenance: which SIMD kernel table produced the run.  Empty /
-  /// zero means "fill from the live simd dispatch at export time" -- the
-  /// usual case; tests override to pin exact values.
-  std::string isa;              ///< "scalar" | "sse4.2" | "avx2" | "neon"
-  unsigned simd_width = 0;      ///< vector width in bits (64 for scalar)
 };
 
 /// Serialize one run as the stats document (schema_version 1).  The

@@ -135,14 +135,6 @@ Circuit::Circuit(CircuitData data)
   eval_join_.assign(n, nullptr);
   eval_mask_.assign(n, 0);
   eval_hi_mask_.assign(n, 0);
-  // Truth tables back Macro gates' eval_lo_ and are read by the SIMD
-  // gather kernels, which load 32 bits per lookup: keep kEvalTablePad
-  // readable bytes past the last entry (storage only, masks unaffected).
-  for (TruthTable& t : tables_) {
-    const std::size_t padded =
-        (std::size_t{1} << (2 * t.num_inputs)) + kEvalTablePad;
-    if (t.out.size() < padded) t.out.resize(padded, 0);
-  }
   for (std::size_t g = 0; g < n; ++g) {
     const GateKind k = kinds_[g];
     const unsigned nf = num_fanins(static_cast<GateId>(g));

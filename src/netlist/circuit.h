@@ -138,24 +138,6 @@ class Circuit {
     return t.eval(state_input_index(s, num_fanins(g)));
   }
 
-  /// Raw table-eval descriptor of one gate: exactly the pointers and masks
-  /// eval() reads, exposed so the batched SIMD paths can group gates by
-  /// shared table and gather many lookups per pass.  lo == nullptr marks a
-  /// source (Input / Dff, output slot passthrough); hi != nullptr marks a
-  /// wide gate composing two chunk reductions through `join`.  All tables
-  /// keep kEvalTablePad readable bytes past their last entry.
-  struct GateEval {
-    const std::uint8_t* lo;
-    const std::uint8_t* hi;
-    const std::uint8_t* join;
-    std::uint32_t lo_mask;
-    std::uint32_t hi_mask;
-  };
-  GateEval gate_eval(GateId g) const {
-    return GateEval{eval_lo_[g], eval_hi_[g], eval_join_[g], eval_mask_[g],
-                    eval_hi_mask_[g]};
-  }
-
   /// Approximate bytes of the frozen circuit image (for MEM reporting).
   std::size_t bytes() const;
 

@@ -157,17 +157,12 @@ struct EvalTableRegistry {
   std::array<std::uint8_t, 16> join[8];
   bool join_built[8] = {};
 
-  // Both table builders append kEvalTablePad readable bytes past the last
-  // indexable entry: the SIMD gather kernels load 32 bits at byte offsets,
-  // so a lookup of the final entry reads 3 bytes beyond it.  The logical
-  // size stays 4^n -- eval_table() derives masks from n, never from size().
-
   const std::vector<std::uint8_t>& full_table(unsigned ki, unsigned n) {
     auto& t = full[ki][n];
     if (t.empty()) {
       const GateKind k = static_cast<GateKind>(ki + 1);
       const std::size_t entries = std::size_t{1} << (2 * n);
-      t.resize(entries + kEvalTablePad);
+      t.resize(entries);
       for (std::uint32_t idx = 0; idx < entries; ++idx) {
         GateState s = 0;
         for (unsigned p = 0; p < n; ++p) {
@@ -185,7 +180,7 @@ struct EvalTableRegistry {
     if (t.empty()) {
       const GateKind k = static_cast<GateKind>(ki + 1);
       const std::size_t entries = std::size_t{1} << (2 * n);
-      t.resize(entries + kEvalTablePad);
+      t.resize(entries);
       for (std::uint32_t idx = 0; idx < entries; ++idx) {
         t[idx] = code(reduce_pins(k, idx, n));
       }

@@ -65,12 +65,6 @@ Val eval_kind(GateKind k, GateState s, unsigned nfanins);
 /// shared; the returned reference is valid for the program lifetime.
 const std::array<std::uint8_t, 256>& fast_table(GateKind k, unsigned nfanins);
 
-/// Readable padding bytes kept past the last entry of every shared eval
-/// table (and every macro truth table): the SIMD gather kernels fetch 32
-/// bits per lookup, so indexing the final entry reads up to 3 bytes beyond
-/// it.  Padding is storage only -- masks and table semantics never see it.
-inline constexpr std::size_t kEvalTablePad = 3;
-
 /// Number of pins a single flat table covers.  Gates up to this arity are
 /// one lookup; wider gates split into a low chunk of kEvalChunkPins pins and
 /// a high chunk of the remainder, each reduced by table, joined by a third

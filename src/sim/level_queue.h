@@ -31,7 +31,6 @@
 
 #include "netlist/circuit.h"
 #include "obs/counters.h"
-#include "simd/simd.h"
 
 namespace cfs {
 
@@ -63,12 +62,7 @@ class LevelQueue {
     }
     words_.assign(w, 0);
     dirty_.assign((nl + 63) / 64, 0);
-    std::uint32_t widest = 0;
-    for (unsigned lvl = 0; lvl < nl; ++lvl) {
-      widest = std::max(widest, word_begin_[lvl + 1] - word_begin_[lvl]);
-    }
-    batch_pos_.resize(std::size_t{widest} * 64);
-    batch_gates_.resize(std::size_t{widest} * 64);
+    batch_gates_.resize(*std::max_element(count.begin(), count.end()));
   }
 
   /// Schedule a gate for (re)evaluation.  Idempotent: an already-pending
@@ -113,17 +107,7 @@ class LevelQueue {
   /// queue moves on.
   template <typename F>
   void drain(F&& process) {
-    for (;;) {
-      std::uint32_t lvl = kNoLevel;
-      for (std::size_t dw = 0; dw < dirty_.size(); ++dw) {
-        if (dirty_[dw] != 0) {
-          lvl = static_cast<std::uint32_t>(dw * 64) +
-                static_cast<std::uint32_t>(std::countr_zero(dirty_[dw]));
-          break;
-        }
-      }
-      if (lvl == kNoLevel) break;
-      dirty_[lvl >> 6] &= ~(std::uint64_t{1} << (lvl & 63));
+    for (std::uint32_t lvl; (lvl = pop_lowest_level()) != kNoLevel;) {
       for (std::uint32_t w = word_begin_[lvl]; w < word_begin_[lvl + 1];
            ++w) {
         // Re-read after every callback: process() may set further bits in
@@ -142,38 +126,31 @@ class LevelQueue {
 
   /// Batched drain: identical level order and within-level ascending-id
   /// order as drain(), but each dirty level is emitted as one whole batch
-  /// via the SIMD sweep kernels -- a wide nonzero skip over the summary
-  /// bitmap, then a compressed-index expansion of the level's set bits --
   /// and handed to `process_batch(const GateId* gates, std::size_t n)` in
-  /// a single call.  The level's bits are snapshotted and cleared before
-  /// the callback runs, so a (re)schedule of a gate in this level from
-  /// inside the batch re-arms the level and is swept in a fresh batch
-  /// rather than appended to the current one; callers whose callbacks only
-  /// schedule strictly-higher levels (every settle loop in this repo --
-  /// combinational fanouts always sit above their drivers) observe
-  /// bit-identical processing order to drain().  On an exception from the
-  /// callback the rest of the snapshot is dropped; all engine recovery
-  /// paths clear() and reschedule from scratch, which is exactly the
-  /// contract drain() already had.
+  /// a single call.  The level's words are expanded bit by bit (ctz, low
+  /// bits first) into the batch and cleared before the callback runs, so a
+  /// (re)schedule of a gate in this level from inside the batch re-arms the
+  /// level and is swept in a fresh batch rather than appended to the
+  /// current one; callers whose callbacks only schedule strictly-higher
+  /// levels (every settle loop in this repo -- combinational fanouts always
+  /// sit above their drivers) observe bit-identical processing order to
+  /// drain().  On an exception from the callback the rest of the batch is
+  /// dropped; all engine recovery paths clear() and reschedule from
+  /// scratch, which is exactly the contract drain() already had.
   template <typename F>
   void drain_levels(F&& process_batch) {
-    const simd::Kernels& k = simd::kernels();
-    for (;;) {
-      const std::size_t dw = k.find_nonzero(dirty_.data(), dirty_.size());
-      if (dw == dirty_.size()) break;
-      const std::uint32_t lvl =
-          static_cast<std::uint32_t>(dw * 64) +
-          static_cast<std::uint32_t>(std::countr_zero(dirty_[dw]));
-      dirty_[dw] &= dirty_[dw] - 1;
-      const std::uint32_t wb = word_begin_[lvl];
-      const std::uint32_t we = word_begin_[lvl + 1];
-      const std::size_t count = k.expand_bits(
-          words_.data() + wb, we - wb, wb * 64, batch_pos_.data());
-      std::fill(words_.begin() + wb, words_.begin() + we, 0);
-      if (count == 0) continue;
-      for (std::size_t i = 0; i < count; ++i) {
-        batch_gates_[i] = gate_at_[batch_pos_[i]];
+    for (std::uint32_t lvl; (lvl = pop_lowest_level()) != kNoLevel;) {
+      std::size_t count = 0;
+      for (std::uint32_t w = word_begin_[lvl]; w < word_begin_[lvl + 1];
+           ++w) {
+        for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+          batch_gates_[count++] =
+              gate_at_[(std::size_t{w} << 6) |
+                       static_cast<unsigned>(std::countr_zero(bits))];
+        }
+        words_[w] = 0;
       }
+      if (count == 0) continue;
       processed_ += count;
       process_batch(batch_gates_.data(), count);
     }
@@ -192,19 +169,31 @@ class LevelQueue {
            word_begin_.capacity() * sizeof(std::uint32_t) +
            words_.capacity() * sizeof(std::uint64_t) +
            dirty_.capacity() * sizeof(std::uint64_t) +
-           batch_pos_.capacity() * sizeof(std::uint32_t) +
            batch_gates_.capacity() * sizeof(GateId);
   }
 
  private:
   static constexpr std::uint32_t kNoLevel = 0xFFFFFFFFu;
 
+  /// Lowest dirty level, its summary bit cleared; kNoLevel when none is.
+  std::uint32_t pop_lowest_level() {
+    for (std::size_t dw = 0; dw < dirty_.size(); ++dw) {
+      if (dirty_[dw] != 0) {
+        const std::uint32_t lvl =
+            static_cast<std::uint32_t>(dw * 64) +
+            static_cast<std::uint32_t>(std::countr_zero(dirty_[dw]));
+        dirty_[dw] &= dirty_[dw] - 1;
+        return lvl;
+      }
+    }
+    return kNoLevel;
+  }
+
   std::vector<std::uint64_t> sched_key_;   // per gate: (level << 32) | pos
   std::vector<GateId> gate_at_;            // position -> gate id
   std::vector<std::uint32_t> word_begin_;  // per level: first word index
   std::vector<std::uint64_t> words_;       // dirty bit per position
   std::vector<std::uint64_t> dirty_;       // dirty bit per level
-  std::vector<std::uint32_t> batch_pos_;   // drain_levels position scratch
   std::vector<GateId> batch_gates_;        // drain_levels gate-id scratch
   std::uint64_t processed_ = 0;
   obs::Counters counters_;

@@ -1,68 +1,44 @@
-// Runtime ISA dispatch for the explicit vector kernels (DESIGN.md §16).
+// Host instruction-set detection (DESIGN.md §16).
 //
-// The engine's hot loops (batched table eval, bitmap sweep, merge
-// classification) call through one process-wide kernel table selected at
-// startup: the widest instruction set the host supports, clamped to what
-// this build compiled in.  Every kernel is bit-identical to its portable
-// scalar implementation -- SIMD here buys throughput, never a different
-// answer -- and the scalar table stays reachable two ways:
-//
-//   build time  -DCFS_SIMD=OFF   only kernels_scalar.cpp is compiled
-//   run time    --simd=off       set_isa("off") pins the scalar table
-//
-// Dispatch is decided once (x86: __builtin_cpu_supports, i.e. CPUID;
-// aarch64: NEON is architectural) and recorded in stats-JSON `meta.isa`,
-// the bench baselines' `host.isa`, and `cfs sim` verbose output, so a
-// digest or counter mismatch can always be traced to the kernel set that
-// produced it.
+// The engine's hot loops are plain scalar code; nothing dispatches on the
+// ISA.  What remains names the widest vector instruction set the host
+// supports, so a benchmark report can record the machine it ran on.
+// Header-only: a caller needs no library to link.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-
-#include "simd/kernels.h"
 
 namespace cfs::simd {
 
 enum class Isa : std::uint8_t { Scalar, Sse42, Avx2, Neon };
 
 /// Canonical lower-case name ("scalar", "sse4.2", "avx2", "neon").
-std::string_view isa_name(Isa isa);
+inline std::string_view isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::Scalar: return "scalar";
+    case Isa::Sse42: return "sse4.2";
+    case Isa::Avx2: return "avx2";
+    case Isa::Neon: return "neon";
+  }
+  return "?";
+}
 
-/// Vector register width the ISA's kernels operate at, in bits (scalar
-/// kernels still chew 64-bit words).
-unsigned isa_width_bits(Isa isa);
-
-/// Widest ISA this build + this host can run.  Pure detection: ignores any
-/// override installed with set_isa().
-Isa detect_isa();
-
-/// The ISA whose kernel table kernels() currently returns.
-Isa active_isa();
-
-/// Convenience accessors for the active selection (stats-JSON meta block,
-/// bench baselines, verbose output).
-std::string_view active_isa_name();
-unsigned active_simd_width_bits();
-
-/// Select the kernel set by name: "auto" (re-detect), "off" or "scalar",
-/// "sse4.2", "avx2", "neon".  Returns false (and changes nothing) for an
-/// unknown name or an ISA this build/host cannot run -- callers surface
-/// that as a CLI error.  Not thread-safe against concurrent kernel use;
-/// call it once at startup before any engine runs.
-bool set_isa(std::string_view name);
-
-/// The active kernel table.  Hot paths grab the reference once per batch;
-/// the pointed-to table never mutates after set_isa().
-const Kernels& kernels();
-
-/// The portable scalar table, always available: the oracle the lockstep
-/// tests compare every other table against.
-const Kernels& scalar_kernels();
-
-/// The kernel table of a specific ISA, or nullptr when this build (e.g.
-/// -DCFS_SIMD=OFF, foreign architecture) or this host cannot run it.  The
-/// lockstep tests iterate every non-null table against the scalar oracle.
-const Kernels* kernels_for(Isa isa);
+/// Widest vector ISA this host supports.  x86 asks CPUID through
+/// __builtin_cpu_supports (AVX2 counts only together with BMI1, as every
+/// AVX2 part ships it); NEON is architectural on aarch64.
+inline Isa detect_isa() {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi")) {
+    return Isa::Avx2;
+  }
+  if (__builtin_cpu_supports("sse4.2")) return Isa::Sse42;
+  return Isa::Scalar;
+#elif defined(__aarch64__)
+  return Isa::Neon;
+#else
+  return Isa::Scalar;
+#endif
+}
 
 }  // namespace cfs::simd

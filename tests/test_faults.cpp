@@ -156,6 +156,34 @@ TEST(MacroMap, MapsEveryFault) {
   EXPECT_GT(mm.num_functional, 0u);
 }
 
+TEST(MacroMap, FaultWithTheGoodFunctionIsMasked) {
+  // y = OR(a, AND(a, b)) == a: the macro {n1, y} has external pins a, b,
+  // and n1 stuck-at-0 leaves its function unchanged.
+  Builder bld("absorb");
+  bld.add_input("a");
+  bld.add_input("b");
+  bld.add_gate(GateKind::And, "n1", {"a", "b"});
+  bld.add_gate(GateKind::Or, "y", {"a", "n1"});
+  bld.mark_output("y");
+  const Circuit c = bld.build();
+  const MacroExtraction ext = extract_macros(c);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const MacroFaultMap mm = map_faults_to_macros(c, ext, u);
+  bool n1_sa0_masked = false;
+  for (std::uint32_t id = 0; id < u.size(); ++id) {
+    const MappedFault& m = mm.mapped[id];
+    if (m.table == kNoGate) continue;
+    const TruthTable& good = ext.circuit.table(ext.circuit.table_of(m.gate));
+    EXPECT_EQ(m.masked, mm.tables[m.table].out == good.out) << id;
+    if (u[id].gate == c.find("n1") && u[id].pin == kFaultOutPin &&
+        u[id].value == Val::Zero) {
+      n1_sa0_masked = m.masked;
+    }
+  }
+  EXPECT_TRUE(n1_sa0_masked);
+  EXPECT_GT(mm.num_masked, 0u);
+}
+
 TEST(MacroMap, RejectsTransitionUniverse) {
   const Circuit c = make_s27();
   const MacroExtraction ext = extract_macros(c);

@@ -34,7 +34,6 @@
 #include "netlist/bench_parser.h"
 #include "resil/campaign.h"
 #include "resil/containment.h"
-#include "simd/simd.h"
 #include "svc/client.h"
 #include "netlist/bench_writer.h"
 #include "netlist/macro_extract.h"
@@ -375,22 +374,13 @@ int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
 int cmd_sim(const Args& args) {
   args.allow_only(
       {"engine", "tests", "random", "seed", "reset0", "transition",
-       "verbose", "sample", "collapse", "threads", "batch", "simd", "trace",
+       "verbose", "sample", "collapse", "threads", "batch", "trace",
        "stats-json", "timeline", "progress", "sample-every",
        "rebalance", "rebalance-threshold",
        "checkpoint", "checkpoint-every", "resume", "max-elements", "retries",
        "deadline-ms", "backoff-ms", "inject", "halt-after", "sleep-ms"});
   const Circuit c = load_circuit(args.positional().at(0));
   const std::string engine = args.get("engine", "csim-mv");
-  // --simd pins the vector-kernel table before any engine is built;
-  // "auto" (the default) re-detects the widest supported ISA, "off"
-  // selects the portable scalar oracle.  Every table is bit-identical, so
-  // this only ever changes speed (simd/simd.h).
-  const std::string simd_spec = args.get("simd", "auto");
-  if (!simd::set_isa(simd_spec)) {
-    throw Error("--simd must be auto|off|scalar|sse4.2|avx2|neon (and "
-                "runnable by this build/host); got '" + simd_spec + "'");
-  }
   const Val ff_init = args.has("reset0") ? Val::Zero : Val::X;
   const unsigned threads =
       static_cast<unsigned>(args.get_u64("threads", 1));
@@ -602,10 +592,6 @@ int cmd_sim(const Args& args) {
                 static_cast<unsigned long long>(r.stats.elements_migrated));
   }
   if (args.has("verbose")) {
-    const std::string_view isa = simd::active_isa_name();
-    std::printf("isa       %.*s vector kernels, %u-bit\n",
-                static_cast<int>(isa.size()), isa.data(),
-                simd::active_simd_width_bits());
     std::printf("activity  %llu element/word evaluations\n",
                 static_cast<unsigned long long>(r.activity));
     if (!r.stats.per_engine.empty()) print_shard_stats(r);
@@ -798,8 +784,7 @@ int usage() {
       "  compact  <circuit> --tests=F [--out=F2] [--reset0]\n"
       "  sim      <circuit> [--engine=E] [--tests=F|--random=N] [--seed=N]\n"
       "           [--reset0] [--transition] [--verbose] [--threads=N]\n"
-      "           [--batch=N|auto] [--simd=auto|off|sse4.2|avx2|neon]\n"
-      "           [--sample=N | --collapse] [--trace=F]\n"
+      "           [--batch=N|auto] [--sample=N | --collapse] [--trace=F]\n"
       "           [--stats-json=F] [--timeline=F] [--progress]\n"
       "           [--sample-every=N]\n"
       "           [--rebalance=off|auto|N] [--rebalance-threshold=R]\n"

@@ -49,8 +49,9 @@ def num_cpus(doc):
 
 
 def host_isa(doc):
-    """Vector-kernel ISA the document was measured with ("avx2", ...), or
-    None if unrecorded (raw google-benchmark JSON has no such field)."""
+    """Widest vector ISA of the host the document was measured on
+    ("avx2", ...), or None if unrecorded (raw google-benchmark JSON has no
+    such field)."""
     host = doc.get("host")
     if isinstance(host, dict):
         return host.get("isa")
@@ -76,10 +77,9 @@ def warn_host_mismatch(cur_doc, base_doc):
               f"may reflect the machine, not the code", file=sys.stderr)
     cur_isa, base_isa = host_isa(cur_doc), host_isa(base_doc)
     if cur_isa and base_isa and cur_isa != base_isa:
-        print(f"warning: vector-ISA mismatch -- current run used "
-              f"{cur_isa} kernels, baseline recorded with {base_isa}; "
-              f"timing ratios compare kernel sets, not just the code",
-              file=sys.stderr)
+        print(f"warning: vector-ISA mismatch -- current host is "
+              f"{cur_isa}, baseline recorded on {base_isa}; timing ratios "
+              f"may reflect the machine, not the code", file=sys.stderr)
 
 
 def main():

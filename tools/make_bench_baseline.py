@@ -27,8 +27,8 @@ def cpu_model():
 def host_isa():
     """Widest vector ISA the host supports, mirroring simd::detect_isa()
     ("avx2" > "sse4.2" > "scalar" on x86, "neon" on aarch64), or None when
-    undetectable.  Timings do not transfer between kernel sets, so the
-    baseline records which one produced it."""
+    undetectable.  Part of the host descriptor: timings only transfer
+    between comparable machines."""
     machine = os.uname().machine if hasattr(os, "uname") else ""
     if machine in ("aarch64", "arm64"):
         return "neon"
@@ -47,13 +47,13 @@ def host_isa():
     return None
 
 
-def host_block(micro_context, isa_override=None):
+def host_block(micro_context):
     """Explicit host descriptor: benchmark timings only transfer between
     comparable machines, so the baseline records where it was measured."""
     host = {
         "num_cpus": micro_context.get("num_cpus") or os.cpu_count(),
         "cpu_model": micro_context.get("cpu_model") or cpu_model(),
-        "isa": isa_override or host_isa(),
+        "isa": host_isa(),
     }
     if "mhz_per_cpu" in micro_context:
         host["mhz_per_cpu"] = micro_context["mhz_per_cpu"]
@@ -80,9 +80,6 @@ def main():
                     help="CFS_BENCH_SCALE the run used")
     ap.add_argument("--name", default="BENCH_PR5",
                     help="baseline tag stored in the output")
-    ap.add_argument("--isa", default=None,
-                    help="vector-kernel ISA the run used (default: detect "
-                         "the host's widest, mirroring --simd=auto)")
     ap.add_argument("--out", required=True, help="output baseline JSON")
     args = ap.parse_args()
 
@@ -91,7 +88,7 @@ def main():
         "baseline": args.name,
         "scale": args.scale,
         "host_context": micro.get("context", {}),
-        "host": host_block(micro.get("context", {}), args.isa),
+        "host": host_block(micro.get("context", {})),
         "micro_kernels": {},
     }
     for b in micro.get("benchmarks", []):
