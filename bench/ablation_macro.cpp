@@ -31,10 +31,6 @@ int main() {
              fmt_fixed(r.cpu_s, 3), bench::fmt_meg(r.mem_bytes)});
     }
     for (unsigned cap : {2u, 4u, 6u}) {
-      // cap 6 tables have 4^6 entries per distinct faulty function;
-      // enumerating them for the largest profiles costs more than the
-      // experiment teaches, so sweep the wide cap only on smaller circuits.
-      if (cap == 6 && c.num_gates() > 3000) continue;
       MacroOptions mo;
       mo.max_inputs = cap;
       const MacroExtraction ext = extract_macros(c, mo);

@@ -42,9 +42,9 @@
 #include "faults/transition_model.h"
 
 // Good-machine simulators.
+#include "sim/batch_good_sim.h"
 #include "sim/delay_sim.h"
 #include "sim/good_sim.h"
-#include "sim/parallel_sim.h"
 #include "sim/vcd.h"
 
 // The concurrent fault simulators and dictionaries.

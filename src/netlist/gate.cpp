@@ -73,6 +73,38 @@ Val eval_kind(GateKind k, GateState s, unsigned nfanins) {
   return Val::X;
 }
 
+Word64 eval_kind_word(GateKind k, std::span<const Word64> pins) {
+  switch (k) {
+    case GateKind::Buf:
+      return pins[0];
+    case GateKind::Not:
+      return w_not(pins[0]);
+    case GateKind::And:
+    case GateKind::Nand: {
+      Word64 r = splat64(Val::One);
+      for (const Word64& w : pins) r = w_and(r, w);
+      return k == GateKind::And ? r : w_not(r);
+    }
+    case GateKind::Or:
+    case GateKind::Nor: {
+      Word64 r = splat64(Val::Zero);
+      for (const Word64& w : pins) r = w_or(r, w);
+      return k == GateKind::Or ? r : w_not(r);
+    }
+    case GateKind::Xor:
+    case GateKind::Xnor: {
+      Word64 r = splat64(Val::Zero);
+      for (const Word64& w : pins) r = w_xor(r, w);
+      return k == GateKind::Xor ? r : w_not(r);
+    }
+    case GateKind::Input:
+    case GateKind::Dff:
+    case GateKind::Macro:
+      break;
+  }
+  throw Error("eval_kind_word: combinational non-macro kinds only");
+}
+
 namespace {
 
 // Fast tables for the 8 combinational kinds x fanin 1..4.

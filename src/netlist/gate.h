@@ -10,8 +10,10 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
+#include "util/dualrail.h"
 #include "util/logic.h"
 #include "util/packed_state.h"
 
@@ -58,6 +60,11 @@ constexpr std::pair<unsigned, unsigned> arity(GateKind k) {
 /// Generic three-valued evaluation of a non-macro kind over a packed state.
 /// Input and Dff return the state's current output slot unchanged.
 Val eval_kind(GateKind k, GateState s, unsigned nfanins);
+
+/// The same evaluation on 64 independent lanes: one dual-rail word per pin
+/// (util/dualrail.h).  Lane i of the result is eval_kind over lane i of every
+/// pin.  Combinational non-macro kinds only; Input, Dff and Macro throw.
+Word64 eval_kind_word(GateKind k, std::span<const Word64> pins);
 
 /// 256-entry lookup table mapping the low 8 bits of a packed state (up to
 /// four 2-bit pin codes) to the 2-bit output code of kind `k` with `nfanins`

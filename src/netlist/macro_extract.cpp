@@ -1,68 +1,98 @@
 #include "netlist/macro_extract.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "util/dualrail.h"
 #include "util/error.h"
 
 namespace cfs {
 
 namespace {
 
-// Evaluate the region of `m` over the external pin values `ext`, optionally
-// forcing a stuck-at value at one internal site.  Returns the root output.
-Val eval_region(const Circuit& orig, const MacroInfo& m,
-                const std::vector<Val>& ext, GateId site_gate,
-                std::uint16_t site_pin, Val stuck, bool inject) {
-  // Driver gate id -> value, for internal results.
-  std::unordered_map<GateId, Val> vals;
-  vals.reserve(m.internal.size());
-  auto pin_index_of = [&](GateId driver) -> int {
-    for (std::size_t i = 0; i < m.ext_drivers.size(); ++i) {
-      if (m.ext_drivers[i] == driver) return static_cast<int>(i);
-    }
-    return -1;
-  };
-  Val out = Val::X;
-  for (GateId g : m.internal) {
-    const auto fi = orig.fanins(g);
-    GateState s = 0;
-    for (std::size_t p = 0; p < fi.size(); ++p) {
-      Val v;
-      const auto it = vals.find(fi[p]);
-      if (it != vals.end()) {
-        v = it->second;
-      } else {
-        const int pi = pin_index_of(fi[p]);
-        if (pi < 0) throw Error("macro region has unmapped external driver");
-        v = ext[static_cast<std::size_t>(pi)];
-      }
-      if (inject && g == site_gate && site_pin == p) v = stuck;
-      s = state_set(s, static_cast<unsigned>(p), v);
-    }
-    Val o = orig.eval(g, s);
-    if (inject && g == site_gate && site_pin == kOutputPin) o = stuck;
-    vals[g] = o;
-    out = o;  // internal is in topo order with the root last
+// Dual-rail pattern of macro pin p (p < 3) across the 64 entries of one
+// table word.  Entry idx gives pin p the code (idx >> 2p) & 3 read through
+// from_code, so code 1 is X: L = (code == 3), H = (code != 0).  A word's 64
+// entries run through every code combination of pins 0-2, so each of those
+// pins has one fixed pattern; pins 3 and up are constant across a word.
+constexpr Word64 low_pin_pattern(unsigned p) {
+  Word64 w;
+  for (unsigned lane = 0; lane < 64; ++lane) {
+    const unsigned c = (lane >> (2 * p)) & 3u;
+    if (c == 3) w.l |= 1ull << lane;
+    if (c != 0) w.h |= 1ull << lane;
   }
-  return out;
+  return w;
+}
+constexpr Word64 kLowPinPatterns[3] = {low_pin_pattern(0), low_pin_pattern(1),
+                                       low_pin_pattern(2)};
+
+Word64 pin_word(unsigned p, std::size_t word) {
+  if (p < 3) return kLowPinPatterns[p];
+  return splat64(from_code(static_cast<std::uint8_t>(word >> (2 * (p - 3)))));
 }
 
+// Truth table of the region of `m`, 64 entries per pass: every signal holds
+// one dual-rail word whose lane i is entry 64 * word + i.  A stuck-at value
+// is forced at (site_gate, site_pin) unless site_gate is kNoGate; an input
+// pin fault replaces that pin of the site gate only, an output fault the
+// site gate's result for every reader.
 TruthTable build_table(const Circuit& orig, const MacroInfo& m,
-                       GateId site_gate, std::uint16_t site_pin, Val stuck,
-                       bool inject) {
+                       GateId site_gate, std::uint16_t site_pin, Val stuck) {
   const unsigned k = static_cast<unsigned>(m.ext_drivers.size());
+  const std::size_t n = m.internal.size();
+  // Slots: macro pins 0..k-1, internal gate i at k + i, the forced word last.
+  const std::size_t forced = k + n;
+  std::vector<std::uint32_t> operand;
+  std::vector<std::size_t> first(n + 1);
+  std::size_t out_site = n;  // internal index whose result is forced
+  std::size_t max_pins = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const GateId g = m.internal[i];
+    const auto fi = orig.fanins(g);
+    first[i] = operand.size();
+    max_pins = std::max(max_pins, fi.size());
+    for (std::size_t p = 0; p < fi.size(); ++p) {
+      // Earlier internal results first: internal is in topo order.
+      std::size_t s = forced;
+      for (std::size_t j = 0; j < i && s == forced; ++j) {
+        if (m.internal[j] == fi[p]) s = k + j;
+      }
+      for (unsigned q = 0; q < k && s == forced; ++q) {
+        if (m.ext_drivers[q] == fi[p]) s = q;
+      }
+      if (s == forced) throw Error("macro region has unmapped external driver");
+      if (g == site_gate && site_pin == p) s = forced;
+      operand.push_back(static_cast<std::uint32_t>(s));
+    }
+    if (g == site_gate && site_pin == kOutputPin) out_site = i;
+  }
+  first[n] = operand.size();
+
   TruthTable t;
   t.num_inputs = static_cast<std::uint8_t>(k);
   t.out.resize(std::size_t{1} << (2 * k));
-  std::vector<Val> ext(k);
-  for (std::size_t idx = 0; idx < t.out.size(); ++idx) {
-    for (unsigned p = 0; p < k; ++p) {
-      ext[p] = from_code(static_cast<std::uint8_t>(idx >> (2 * p)));
+  std::vector<Word64> slot(forced + 1);
+  slot[forced] = splat64(stuck);
+  std::vector<Word64> pins(max_pins);
+  for (std::size_t base = 0; base < t.out.size(); base += 64) {
+    for (unsigned p = 0; p < k; ++p) slot[p] = pin_word(p, base / 64);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t np = first[i + 1] - first[i];
+      for (std::size_t p = 0; p < np; ++p) {
+        pins[p] = slot[operand[first[i] + p]];
+      }
+      slot[k + i] = i == out_site
+                        ? slot[forced]
+                        : eval_kind_word(orig.kind(m.internal[i]),
+                                         {pins.data(), np});
     }
-    t.out[idx] =
-        code(eval_region(orig, m, ext, site_gate, site_pin, stuck, inject));
+    // The root is last; tables of k <= 2 fill only the low lanes.
+    const Word64 root = slot[k + n - 1];
+    const std::size_t lanes = std::min<std::size_t>(64, t.out.size() - base);
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      t.out[base + lane] = code(w_get(root, lane));
+    }
   }
   return t;
 }
@@ -70,13 +100,13 @@ TruthTable build_table(const Circuit& orig, const MacroInfo& m,
 }  // namespace
 
 TruthTable build_macro_table(const Circuit& orig, const MacroInfo& m) {
-  return build_table(orig, m, kNoGate, 0, Val::X, false);
+  return build_table(orig, m, kNoGate, 0, Val::X);
 }
 
 TruthTable build_macro_table_faulty(const Circuit& orig, const MacroInfo& m,
                                     GateId site_gate, std::uint16_t site_pin,
                                     Val stuck) {
-  return build_table(orig, m, site_gate, site_pin, stuck, true);
+  return build_table(orig, m, site_gate, site_pin, stuck);
 }
 
 MacroExtraction extract_macros(const Circuit& orig, MacroOptions opt) {

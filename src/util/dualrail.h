@@ -2,8 +2,9 @@
 //
 // A Word64 carries 64 independent three-valued values using one L rail and
 // one H rail (same semantics as the scalar encoding in logic.h, one bit per
-// lane).  The PROOFS-style baseline packs 64 faulty machines per word; the
-// parallel-pattern good-machine simulator packs 64 input vectors per word.
+// lane).  The PROOFS-style baseline packs 64 faulty machines per word, the
+// batched good machine 64 input vectors per word, and the macro table builder
+// 64 truth-table entries per word.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,8 @@
 // state, and an engine running with CsimOptions::fold_eval must march in
 // lockstep -- good machine, fault lists, detection status, counters -- with
 // the table-driven default across all four paper variants, transition mode,
-// and macro mode.
+// and macro mode.  The word-wide eval_kind_word must equal eval_kind in
+// every lane.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -17,6 +18,7 @@
 #include "netlist/builder.h"
 #include "netlist/macro_extract.h"
 #include "patterns/pattern.h"
+#include "util/error.h"
 
 namespace cfs {
 namespace {
@@ -60,6 +62,38 @@ TEST(EvalTable, TableMatchesFoldForEveryKindAndArity) {
             << kind_name(c.kind(g)) << " arity " << n << " pins " << pins;
       }
     }
+  }
+}
+
+// eval_kind_word is eval_kind in every lane, on random 0/1/X pin words.
+TEST(EvalTable, WordEvaluatorMatchesScalarInEveryLane) {
+  std::mt19937_64 rng(17);
+  for (unsigned n = 1; n <= kMaxPins; ++n) {
+    for (const GateKind k : {GateKind::Buf, GateKind::Not, GateKind::And,
+                             GateKind::Nand, GateKind::Or, GateKind::Nor,
+                             GateKind::Xor, GateKind::Xnor}) {
+      if (n > arity(k).second) continue;
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<Word64> pins(n);
+        for (Word64& w : pins) {
+          w.h = rng();
+          w.l = w.h & rng();  // L implies H: only the codes 0, X and 1
+        }
+        const Word64 out = eval_kind_word(k, pins);
+        for (unsigned lane = 0; lane < 64; ++lane) {
+          GateState s = 0;
+          for (unsigned p = 0; p < n; ++p) {
+            s = state_set(s, p, w_get(pins[p], lane));
+          }
+          ASSERT_EQ(w_get(out, lane), eval_kind(k, s, n))
+              << kind_name(k) << " arity " << n << " lane " << lane;
+        }
+      }
+    }
+  }
+  const Word64 one[1] = {splat64(Val::One)};
+  for (const GateKind k : {GateKind::Input, GateKind::Dff, GateKind::Macro}) {
+    EXPECT_THROW(eval_kind_word(k, one), Error) << kind_name(k);
   }
 }
 
