@@ -31,11 +31,10 @@ int main(int argc, char** argv) {
   const PatternSet p = PatternSet::random(c.inputs().size(), 512, 5);
 
   obs::Timeline timeline(p.size());
-  const RunResult r = run_csim_sharded(c, u, TestSuite(p), CsimVariant::MV,
-                                       /*num_threads=*/1, bench::kFfInit,
-                                       /*drop_detected=*/true,
-                                       /*trace=*/nullptr, /*batch_width=*/1,
-                                       &timeline);
+  const RunResult r = run_csim(c, u, TestSuite(p), CsimVariant::MV,
+                               bench::kFfInit, /*drop_detected=*/true,
+                               /*num_threads=*/1, /*trace=*/nullptr,
+                               /*batch_width=*/1, &timeline);
 
   std::printf("coverage curve: %s, %zu faults, random patterns\n",
               name.c_str(), u.size());

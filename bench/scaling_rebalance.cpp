@@ -71,11 +71,9 @@ int main(int argc, char** argv) {
         // The timeline (per-vector sampling on both modes alike) supplies
         // the per-shard latencies the critical path is assembled from.
         obs::Timeline tl(4096, 1);
-        r = run_csim_sharded(c, u, suite, CsimVariant::MV, k,
-                             bench::kFfInit,
-                             /*drop_detected=*/true,
-                             /*trace=*/nullptr,
-                             /*batch_width=*/1, &tl, rp);
+        r = run_csim(c, u, suite, CsimVariant::MV, bench::kFfInit,
+                     /*drop_detected=*/true, k, /*trace=*/nullptr,
+                     /*batch_width=*/1, &tl, rp);
         if (r.cov.hard != ref.cov.hard ||
             r.cov.potential != ref.cov.potential) {
           std::printf("!! x%u %s disagrees with the single-threaded "

@@ -36,9 +36,8 @@ int main(int argc, char** argv) {
         run_csim(c, u, p, CsimVariant::MV, bench::kFfInit);
     const double base = ref.cpu_s;
     for (unsigned k : {1u, 2u, 4u, 8u}) {
-      const RunResult r = run_csim_sharded(c, u, TestSuite(p),
-                                           CsimVariant::MV, k,
-                                           bench::kFfInit);
+      const RunResult r = run_csim(c, u, TestSuite(p), CsimVariant::MV,
+                                   bench::kFfInit, /*drop_detected=*/true, k);
       if (r.cov.hard != ref.cov.hard || r.cov.potential != ref.cov.potential) {
         std::printf("!! %s x%u disagrees with the single-threaded engine\n",
                     name.c_str(), k);

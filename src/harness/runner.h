@@ -1,6 +1,8 @@
 // Experiment runner: applies a pattern set through one simulator engine
 // and collects the paper's measured quantities (CPU seconds, memory,
-// coverage, activity).
+// coverage, activity).  Every csim run goes through ShardedSim::run
+// (sim/sharded_sim.h); its one shard at batch width 1 is the plain
+// ConcurrentSim.
 #pragma once
 
 #include <string>
@@ -21,8 +23,8 @@ struct RunResult {
   std::size_t mem_bytes = 0;
   Coverage cov;
   std::uint64_t activity = 0;  ///< scalar gate evals or word evals
-  unsigned threads = 1;        ///< shards actually used (sharded runs)
-  unsigned batch = 1;          ///< pattern-lane width (sharded runs)
+  unsigned threads = 1;        ///< shards actually used (csim runs)
+  unsigned batch = 1;          ///< pattern-lane width (csim runs)
   SimStats stats;              ///< per-engine breakdown (csim runs)
   /// Harness-side envelope: the whole-suite Run phase.  The tables' CPU
   /// column and the telemetry export both read this one accumulator.
@@ -43,9 +45,26 @@ std::string variant_name(CsimVariant v);
 /// reset state); for M/MV the macro extraction and fault mapping are built
 /// inside and counted in memory, while the reported CPU time covers only
 /// the simulation itself, matching the paper's focus.
+///
+/// The trailing parameters default to the paper's single engine.
+/// `num_threads` shard engines share one SimModel, and `batch_width`
+/// pattern lanes run through the packed good machine
+/// (ShardedOptions::batch_width); the two parallel axes compose freely,
+/// and detection status and coverage are bit-for-bit identical for any
+/// thread count x batch width.  `trace`, when given, receives one
+/// Chrome-trace track per shard (obs/trace.h); `timeline`, when given,
+/// samples the run per vector (obs/timeline.h); both must outlive the
+/// call.  `rebalance` configures dynamic ownership repartitioning
+/// (sim/sharded_sim.h) -- bit-identical results for every policy.  Above
+/// one shard the name gains " xN".
 RunResult run_csim(const Circuit& c, const FaultUniverse& u,
                    const TestSuite& t, CsimVariant variant,
-                   Val ff_init = Val::X, bool drop_detected = true);
+                   Val ff_init = Val::X, bool drop_detected = true,
+                   unsigned num_threads = 1,
+                   obs::TraceEmitter* trace = nullptr,
+                   unsigned batch_width = 1,
+                   obs::Timeline* timeline = nullptr,
+                   const RebalancePolicy& rebalance = {});
 
 /// PROOFS-style baseline run.
 RunResult run_proofs(const Circuit& c, const FaultUniverse& u,
@@ -55,42 +74,16 @@ RunResult run_proofs(const Circuit& c, const FaultUniverse& u,
 RunResult run_serial(const Circuit& c, const FaultUniverse& u,
                      const TestSuite& t, Val ff_init = Val::X);
 
-/// Transition-fault run (csim transition engine; no macros).
+/// Transition-fault run (csim transition engine; no macros).  The
+/// trailing parameters are run_csim's.
 RunResult run_csim_transition(const Circuit& c, const FaultUniverse& u,
                               const TestSuite& t, Val ff_init = Val::X,
-                              bool split_lists = true);
-
-/// Sharded multi-threaded csim run: `num_threads` shard engines over one
-/// shared SimModel (see sim/sharded_sim.h), with `batch_width` pattern
-/// lanes through the packed good machine (ShardedOptions::batch_width) --
-/// the two parallel axes compose freely.  Detection status and coverage
-/// are bit-for-bit identical to the single-threaded, width-1 variant for
-/// any thread count x batch width.  `trace`, when given, receives one
-/// Chrome-trace track per shard (obs/trace.h) and must outlive the call;
-/// `timeline`, when given, samples the run per vector (obs/timeline.h,
-/// forcing the lockstep driver) and must outlive the call too.
-/// `rebalance` configures dynamic ownership repartitioning
-/// (sim/sharded_sim.h) -- bit-identical results for every policy.
-RunResult run_csim_sharded(const Circuit& c, const FaultUniverse& u,
-                           const TestSuite& t, CsimVariant variant,
-                           unsigned num_threads, Val ff_init = Val::X,
-                           bool drop_detected = true,
-                           obs::TraceEmitter* trace = nullptr,
-                           unsigned batch_width = 1,
-                           obs::Timeline* timeline = nullptr,
-                           const RebalancePolicy& rebalance = {});
-
-/// Sharded transition-fault run.
-RunResult run_csim_transition_sharded(const Circuit& c,
-                                      const FaultUniverse& u,
-                                      const TestSuite& t,
-                                      unsigned num_threads,
-                                      Val ff_init = Val::X,
-                                      bool split_lists = true,
-                                      obs::TraceEmitter* trace = nullptr,
-                                      unsigned batch_width = 1,
-                                      obs::Timeline* timeline = nullptr,
-                                      const RebalancePolicy& rebalance = {});
+                              bool split_lists = true,
+                              unsigned num_threads = 1,
+                              obs::TraceEmitter* trace = nullptr,
+                              unsigned batch_width = 1,
+                              obs::Timeline* timeline = nullptr,
+                              const RebalancePolicy& rebalance = {});
 
 // Single-sequence conveniences.
 inline RunResult run_csim(const Circuit& c, const FaultUniverse& u,

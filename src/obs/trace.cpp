@@ -59,19 +59,19 @@ std::uint64_t TraceEmitter::now_us() const {
 
 void TraceEmitter::name_track(std::uint32_t tid, const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(Event{'M', tid, 0, 0, name});
+  events_.push_back(Event{'M', tid, 0, 0, name, {}});
 }
 
 void TraceEmitter::complete(std::uint32_t tid, const std::string& name,
                             std::uint64_t ts_us, std::uint64_t dur_us) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(Event{'X', tid, ts_us, dur_us, name});
+  events_.push_back(Event{'X', tid, ts_us, dur_us, name, {}});
 }
 
 void TraceEmitter::instant(std::uint32_t tid, const std::string& name,
                            std::uint64_t ts_us) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(Event{'i', tid, ts_us, 0, name});
+  events_.push_back(Event{'i', tid, ts_us, 0, name, {}});
 }
 
 void TraceEmitter::counter(

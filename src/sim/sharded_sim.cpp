@@ -6,6 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <numeric>
+#include <optional>
 
 #include "patterns/batch_plan.h"
 #include "sim/batch_good_sim.h"
@@ -53,6 +54,42 @@ FaultPartition site_partition(const SimModel& m, unsigned num_threads) {
   const unsigned k = clamp_shards(num_threads, m.num_faults());
   return k > 1 ? FaultPartition(m.num_faults(), k, site_order(m))
                : FaultPartition(m.num_faults(), k);
+}
+
+// The plan's lane walk, shared by both branches of ShardedSim::run: the
+// segment's lanes in suite order, reset() where a sequence starts (an
+// empty sequence's zero-length lane included), then apply(vector, frame,
+// lane) for each vector.  `frame` is the vector's settled good frame in a
+// packed band's slab, or nullptr in an unpacked segment; `lane` indexes the
+// band.  With a trace, each lane records one slice on track `tid`, named
+// after its sequence, and an instant for the faults apply() newly detects.
+template <typename Reset, typename Apply>
+void walk_lanes(std::span<const BatchBand> segment, const TestSuite& t,
+                const Word64* slab, std::size_t frame_words,
+                obs::TraceEmitter* trace, std::uint32_t tid, Reset&& reset,
+                Apply&& apply) {
+  for (const BatchBand& band : segment) {
+    for (std::size_t l = 0; l < band.lanes.size(); ++l) {
+      const BatchLane& lane = band.lanes[l];
+      const std::uint64_t t0 = trace != nullptr ? trace->now_us() : 0;
+      if (lane.begin == 0) reset();
+      const PatternSet& seq = t.sequences()[lane.seq];
+      std::size_t newly = 0;
+      for (std::uint32_t i = 0; i < lane.count; ++i) {
+        const Word64* frame =
+            slab != nullptr ? slab + std::size_t{i} * frame_words : nullptr;
+        newly += apply(seq[lane.begin + i], frame, static_cast<unsigned>(l));
+      }
+      if (trace != nullptr) {
+        const std::uint64_t t1 = trace->now_us();
+        trace->complete(tid, "sequence " + std::to_string(lane.seq), t0,
+                        t1 - t0);
+        if (newly > 0) {
+          trace->instant(tid, "detect x" + std::to_string(newly), t1);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -336,85 +373,53 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
 }
 
 void ShardedSim::run(const TestSuite& t, Val ff_init) {
-  // The batched driver subsumes the lockstep path (it replays per vector,
-  // so observers stay ordered); containment keeps its own per-vector retry
-  // boundary and is left on the scalar paths, where an engine rebuilt
-  // mid-vector never holds a dangling slab pointer.
-  const unsigned bw = std::min(std::max(opt_.batch_width, 1u), kMaxBatchLanes);
-  if (bw > 1 && opt_.resil.max_retries == 0) {
-    run_batched(t, ff_init, bw);
-    return;
-  }
-  const bool rebalancing = opt_.rebalance.mode != RebalancePolicy::Mode::Off &&
-                           num_shards() > 1;
-  if (observer_ || opt_.resil.max_retries > 0 || timeline_ != nullptr ||
-      rebalancing) {
-    // Lockstep keeps the observer callback order identical to a
-    // single-threaded run, gives the containment path its per-vector retry
-    // boundary, and gives the timeline sampler and the rebalancer their
-    // per-vector boundaries (the coarse path has no driver-visible vector
-    // boundary to repartition at).
-    for (const PatternSet& seq : t.sequences()) {
-      reset(ff_init);
-      for (std::size_t i = 0; i < seq.size(); ++i) apply_vector(seq[i]);
-    }
-    return;
-  }
-  // Coarse grain: each shard streams the whole suite independently; one
-  // fork-join for the entire run.
-  pool_.parallel_for(engines_.size(), [&](std::size_t s) {
-    ConcurrentSim& sim = *engines_[s];
-    const auto tid = static_cast<std::uint32_t>(s);
-    std::size_t seq_no = 0;
-    for (const PatternSet& seq : t.sequences()) {
-      const std::uint64_t t0 = trace_ ? trace_->now_us() : 0;
-      std::size_t newly = 0;
-      sim.reset(ff_init);
-      for (std::size_t i = 0; i < seq.size(); ++i) {
-        newly += sim.apply_vector(seq[i]);
-      }
-      if (trace_) {
-        const std::uint64_t t1 = trace_->now_us();
-        trace_->complete(tid, "sequence " + std::to_string(seq_no), t0,
-                         t1 - t0);
-        if (newly > 0) {
-          trace_->instant(tid, "detect x" + std::to_string(newly), t1);
-        }
-      }
-      ++seq_no;
-    }
-  });
-  merged_dirty_ = true;
-}
-
-void ShardedSim::run_batched(const TestSuite& t, Val ff_init,
-                             unsigned width) {
   const Circuit& c = model_->circuit();
-  const BatchPlan plan = BatchPlan::build(c, t, width);
+  // Containment keeps width 1: a hung shard's abandoned worker can outlive
+  // run(), so no engine may hold a pointer into the slab.
+  const bool contained = opt_.resil.max_retries > 0;
+  const BatchPlan plan =
+      BatchPlan::build(c, t, contained ? 1 : opt_.batch_width);
+  // Work that must act between vectors sends every segment through
+  // apply_vector(); otherwise each shard streams a segment on its own.
+  const bool per_vector =
+      observer_ || timeline_ != nullptr ||
+      opt_.resil.injector != nullptr || contained ||
+      (opt_.rebalance.mode != RebalancePolicy::Mode::Off &&
+       engines_.size() > 1);
+
   const std::size_t ngates = c.num_gates();
   const std::size_t npis = c.inputs().size();
-  // A band's packed trajectory is held whole (the replay walks it lane by
+  // A band's packed trajectory is held whole (the shards walk it lane by
   // lane, so it cannot stream); a band that would not fit runs unpacked.
   constexpr std::size_t kSlabByteCap = std::size_t{512} << 20;
-  BatchGoodSim bsim(c, ff_init, plan.width());
-  const unsigned W = bsim.words_per_gate();
+  std::optional<BatchGoodSim> bsim;
+  if (plan.width() > 1) bsim.emplace(c, ff_init, plan.width());
+  const unsigned W = bsim ? bsim->words_per_gate() : 1;
   const std::size_t frame_words = ngates * std::size_t{W};
+  const auto packed = [&](const BatchBand& band) {
+    return bsim && band.lanes.size() > 1 && band.steps > 0 && ngates > 0 &&
+           std::size_t{band.steps} <=
+               kSlabByteCap / (frame_words * sizeof(Word64));
+  };
   std::vector<Word64> slab;
   std::vector<Word64> wbuf(W);
-  for (const BatchBand& band : plan.bands()) {
-    const bool packed =
-        band.lanes.size() > 1 && band.steps > 0 && ngates > 0 &&
-        std::size_t{band.steps} <= kSlabByteCap / (frame_words * sizeof(Word64));
-    if (packed) {
+
+  const std::span<const BatchBand> bands = plan.bands();
+  for (std::size_t b = 0; b < bands.size();) {
+    // A segment is one packed band, or a maximal run of unpacked bands.
+    std::size_t e = b + 1;
+    const Word64* frames = nullptr;
+    if (packed(bands[b])) {
       // Precompute the whole band's good trajectory: one packed machine
       // stands in for up to `width` per-shard scalar good machines.
       obs::ScopedPhase sp(driver_timers_, obs::Phase::GoodBatch);
+      const BatchBand& band = bands[b];
       slab.resize(frame_words * band.steps);
-      bsim.reset(ff_init);
+      bsim->reset(ff_init);
       for (std::uint32_t step = 0; step < band.steps; ++step) {
         std::uint64_t active = 0;
         for (const BatchLane& lane : band.lanes) active += step < lane.count;
-        CFS_COUNT_N(batch_counters_, BatchLanesWasted, width - active);
+        CFS_COUNT_N(batch_counters_, BatchLanesWasted, plan.width() - active);
         for (std::size_t pi = 0; pi < npis; ++pi) {
           wn_splat(wbuf.data(), W, Val::X);
           for (std::size_t l = 0; l < band.lanes.size(); ++l) {
@@ -424,37 +429,50 @@ void ShardedSim::run_batched(const TestSuite& t, Val ff_init,
                      t.sequences()[lane.seq][lane.begin + step][pi]);
             }
           }
-          bsim.set_input(static_cast<unsigned>(pi), wbuf.data());
+          bsim->set_input(static_cast<unsigned>(pi), wbuf.data());
         }
-        bsim.settle();
-        std::copy(bsim.values().begin(), bsim.values().end(),
+        bsim->settle();
+        std::copy(bsim->values().begin(), bsim->values().end(),
                   slab.begin() + std::size_t{step} * frame_words);
-        if (step + 1 < band.steps) bsim.clock();
+        if (step + 1 < band.steps) bsim->clock();
       }
+      frames = slab.data();
+    } else {
+      while (e < bands.size() && !packed(bands[e])) ++e;
     }
-    // Replay the lanes in suite order; in a packed band every engine reads
-    // its good values from the lane's slice of the trajectory.
-    for (std::size_t l = 0; l < band.lanes.size(); ++l) {
-      const BatchLane& lane = band.lanes[l];
-      if (lane.count == 0) {
-        reset(ff_init);  // empty sequence: the reset still happens in order
-        continue;
-      }
-      const PatternSet& seq = t.sequences()[lane.seq];
-      for (std::uint32_t v = lane.begin; v < lane.begin + lane.count; ++v) {
-        if (v == 0) reset(ff_init);
-        if (packed) {
-          const Word64* frame =
-              slab.data() + std::size_t{v - lane.begin} * frame_words;
-          for (auto& e : engines_) {
-            e->set_good_batch_oracle(frame, static_cast<unsigned>(l), W);
-          }
-        }
-        apply_vector(seq[v]);
-      }
+    const std::span<const BatchBand> segment = bands.subspan(b, e - b);
+    b = e;
+
+    if (per_vector) {
+      walk_lanes(
+          segment, t, frames, frame_words, nullptr, 0, [&] { reset(ff_init); },
+          [&](std::span<const Val> pis, const Word64* frame, unsigned lane) {
+            if (frame != nullptr) {
+              for (auto& eng : engines_) {
+                eng->set_good_batch_oracle(frame, lane, W);
+              }
+            }
+            return apply_vector(pis);
+          });
+    } else {
+      // One fork-join per segment: each shard walks it with its own
+      // engine, arming only its own oracle.
+      pool_.parallel_for(engines_.size(), [&](std::size_t s) {
+        ConcurrentSim& sim = *engines_[s];
+        walk_lanes(
+            segment, t, frames, frame_words, trace_,
+            static_cast<std::uint32_t>(s), [&] { sim.reset(ff_init); },
+            [&](std::span<const Val> pis, const Word64* frame, unsigned lane) {
+              if (frame != nullptr) sim.set_good_batch_oracle(frame, lane, W);
+              return sim.apply_vector(pis);
+            });
+      });
     }
   }
-  batch_counters_.merge(bsim.counters());
+  // Streamed vectors count too: the driver's vector number stays the
+  // suite position whichever branch ran.
+  if (!per_vector) vectors_applied_ += plan.total_vectors();
+  if (bsim) batch_counters_.merge(bsim->counters());
   merged_dirty_ = true;
 }
 

@@ -89,8 +89,9 @@ struct ShardedOptions {
   /// and serves each engine's good values from the shared trajectory --
   /// the second parallelism axis, orthogonal to num_threads.  Results are
   /// bit-identical for any width (clamped to [1, kMaxBatchLanes]).
-  /// Single-lane bands, containment runs (max_retries > 0), and the
-  /// per-vector apply_vector() API always use the scalar path.
+  /// Single-lane bands and the per-vector apply_vector() API use each
+  /// engine's own good machine; containment runs (max_retries > 0) plan
+  /// at width 1.
   unsigned batch_width = 1;
   /// Dynamic shard rebalancing (no-op with a single shard).  At the end of
   /// a vector, when the policy triggers, the driver captures the merged
@@ -193,15 +194,17 @@ class ShardedSim {
   std::size_t apply_vector(std::span<const Val> pi_vals);
 
   /// Simulate a whole suite: one reset per sequence, vectors in order.
-  /// With batch_width > 1 (and containment off) the batched driver runs:
-  /// a BatchPlan groups the suite into packed lanes, one BatchGoodSim
-  /// precomputes each band's good trajectory, and the vectors replay in
-  /// lockstep with every engine reading good values from its lane of the
-  /// slab.  Otherwise, without an observer each shard runs the entire
-  /// suite independently (coarse-grained, one fork-join total); with an
-  /// observer the vectors run in lockstep so callbacks stay ordered.
-  /// Every path yields the same merged status, detection order, and
-  /// deterministic counters.
+  /// The suite's BatchPlan (patterns/batch_plan.h, at batch_width) splits
+  /// into segments: one packed band, whose good trajectory one BatchGoodSim
+  /// precomputes into a slab each engine reads its lane from, or a maximal
+  /// run of unpacked bands -- at width 1 the whole suite is one segment.
+  /// Each shard streams a segment on its own, one fork-join per segment,
+  /// unless something must act between vectors (a detection observer, a
+  /// timeline, a fault injector, containment, or rebalancing with more
+  /// than one shard); then the segment goes vector by vector through
+  /// apply_vector().  Every engine makes the same apply_vector calls with
+  /// the same good frames either way, so the merged status, detection
+  /// order, and deterministic counters are the same.
   void run(const TestSuite& t, Val ff_init = Val::X);
 
   // -- results ------------------------------------------------------------
@@ -266,10 +269,10 @@ class ShardedSim {
 
   // -- telemetry -----------------------------------------------------------
   /// Attach a Chrome-trace emitter (obs/trace.h): one track per shard
-  /// records a slice per vector (lockstep) or per sequence (coarse run),
-  /// with instant markers on fault detections; a driver track records the
-  /// merge.  Pass nullptr to detach.  The emitter must outlive the runs it
-  /// observes.
+  /// records a slice per vector (apply_vector) or, where run() streams,
+  /// per plan lane, named after the lane's sequence; instant markers flag
+  /// fault detections, and a driver track records the merge.  Pass nullptr
+  /// to detach.  The emitter must outlive the runs it observes.
   void set_trace(obs::TraceEmitter* trace);
 
   /// Attach a time-series sampler (obs/timeline.h): every wanted vector
@@ -277,9 +280,9 @@ class ShardedSim {
   /// and apply_vector latency, pool population, counter totals.  The
   /// timeline's shard width is fixed here.  `vec_base` offsets the sample
   /// vector coordinate (a resumed campaign continues its suite position).
-  /// Sampling forces run() onto the lockstep path so every vector is a
-  /// sample point.  Pass nullptr to detach.  The timeline must outlive the
-  /// runs it observes.
+  /// Sampling sends run() vector by vector through apply_vector(), so
+  /// every vector is a sample point.  Pass nullptr to detach.  The timeline
+  /// must outlive the runs it observes.
   void set_timeline(obs::Timeline* timeline, std::uint64_t vec_base = 0);
   obs::Timeline* timeline() const { return timeline_; }
 
@@ -292,9 +295,6 @@ class ShardedSim {
   void report_memory(MemStats& ms) const;
 
  private:
-  /// The two-dimensional driver loop (batch_width > 1): packed good-machine
-  /// precompute per band, then per-lane replay with the oracle armed.
-  void run_batched(const TestSuite& t, Val ff_init, unsigned width);
   void replay_observations();
   /// tid of the driver track (one past the shard tracks).
   std::uint32_t driver_tid() const {

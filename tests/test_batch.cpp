@@ -376,12 +376,11 @@ TEST(ShardedBatch, TransitionModeInvariant) {
   const FaultUniverse u = FaultUniverse::all_transition(c);
   const TestSuite t = multi_seq_suite(c.inputs().size(), 6, 700);
 
-  const RunResult ref =
-      run_csim_transition_sharded(c, u, t, 1, Val::X, true, nullptr, 1);
+  const RunResult ref = run_csim_transition(c, u, t, Val::X);
   for (unsigned threads : {1u, 2u}) {
     for (unsigned batch : {8u, 64u, 256u}) {
-      const RunResult got = run_csim_transition_sharded(
-          c, u, t, threads, Val::X, true, nullptr, batch);
+      const RunResult got =
+          run_csim_transition(c, u, t, Val::X, true, threads, nullptr, batch);
       EXPECT_EQ(got.cov.hard, ref.cov.hard)
           << "threads " << threads << " batch " << batch;
       EXPECT_EQ(got.cov.potential, ref.cov.potential);
@@ -397,7 +396,7 @@ TEST(ShardedBatch, RunnerParityWithSingleEngine) {
 
   const RunResult base = run_csim(c, u, t, CsimVariant::V, Val::X);
   const RunResult batched =
-      run_csim_sharded(c, u, t, CsimVariant::V, 2, Val::X, true, nullptr, 64);
+      run_csim(c, u, t, CsimVariant::V, Val::X, true, 2, nullptr, 64);
   EXPECT_EQ(batched.cov.hard, base.cov.hard);
   EXPECT_EQ(batched.cov.potential, base.cov.potential);
   EXPECT_EQ(batched.cov.total, base.cov.total);

@@ -443,7 +443,7 @@ RunResult run_counter(unsigned threads) {
   const Circuit c = make_counter(6);
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const TestSuite t(PatternSet::random(c.inputs().size(), 48, 11));
-  return run_csim_sharded(c, u, t, CsimVariant::MV, threads, Val::Zero);
+  return run_csim(c, u, t, CsimVariant::MV, Val::Zero, true, threads);
 }
 
 TEST(StatsJson, RoundTripMatchesRun) {

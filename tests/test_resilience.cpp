@@ -522,6 +522,19 @@ TEST(Containment, WithoutRetriesInjectedFailurePropagates) {
   opt.sharded.resil.injector = &inj;  // max_retries stays 0: fast path
   CampaignRunner runner(c, u, t, opt);
   EXPECT_THROW((void)runner.run(), InjectedShardFailure);
+
+  // ShardedSim::run treats an injector as work between vectors at every
+  // batch width, so the throw reaches the caller there too.
+  for (unsigned width : {1u, 64u}) {
+    FaultInjector once;
+    once.add(InjectionSpec{InjectionSpec::Action::Throw, 0, 3, 0, 1});
+    ShardedOptions so = opt.sharded;
+    so.batch_width = width;
+    so.resil.injector = &once;
+    ShardedSim sim(c, u, so);
+    EXPECT_THROW(sim.run(t), InjectedShardFailure) << "batch " << width;
+    EXPECT_EQ(once.fired(), 1u) << "batch " << width;
+  }
 }
 
 TEST(Containment, StalledShardIsRequeuedAndResultUnchanged) {

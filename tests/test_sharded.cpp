@@ -9,6 +9,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "core/concurrent_sim.h"
@@ -17,6 +18,7 @@
 #include "gen/circuit_gen.h"
 #include "gen/iscas_profiles.h"
 #include "netlist/macro_extract.h"
+#include "patterns/batch_plan.h"
 #include "patterns/pattern.h"
 #include "sim/sharded_sim.h"
 #include "util/error.h"
@@ -218,24 +220,77 @@ TEST(ShardedSim, MacroModeInvariant) {
   }
 }
 
+// run() streams each plan segment per shard when nothing acts between
+// vectors, and goes vector by vector through apply_vector() when an
+// observer is attached.  Both make the same apply_vector calls with the
+// same good frames, so status and every engine's work agree at width 1
+// and at widths whose plan packs bands.
 TEST(ShardedSim, CoarseRunMatchesLockstep) {
   const Circuit c = make_test_circuit(904);
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  // 17 sequences, two of them empty: at width 8 the plan is two packed
+  // bands and a one-lane tail band, at width 64 one packed band.
   TestSuite t;
-  t.sequences().push_back(PatternSet::random(c.inputs().size(), 60, 31));
-  t.sequences().push_back(PatternSet::random(c.inputs().size(), 40, 37));
+  for (std::uint64_t s = 0; s < 17; ++s) {
+    const std::size_t n = s == 3 || s == 10 ? 0 : 4 + (s * 7) % 13;
+    t.sequences().push_back(
+        PatternSet::random(c.inputs().size(), n, 31 + s));
+  }
+  const BatchPlan plan8 = BatchPlan::build(c, t, 8);
+  ASSERT_EQ(plan8.bands().size(), 3u);
+  ASSERT_EQ(plan8.bands()[2].lanes.size(), 1u);
+  ASSERT_GT(plan8.bands()[2].steps, 0u);
+  ASSERT_EQ(BatchPlan::build(c, t, 64).bands().size(), 1u);
 
-  ShardedOptions sopt;
-  sopt.num_threads = 4;
-  ShardedSim coarse(c, u, sopt);
-  coarse.run(t);  // no observer: one fork-join for the whole suite
-
-  ShardedSim lockstep(c, u, sopt);
+  // The width-1 reference: a manual apply_vector loop.
+  ShardedOptions ref_opt;
+  ref_opt.num_threads = 4;
+  ShardedSim lockstep(c, u, ref_opt);
   for (const PatternSet& seq : t.sequences()) {
     lockstep.reset();
     for (std::size_t i = 0; i < seq.size(); ++i) lockstep.apply_vector(seq[i]);
   }
-  EXPECT_EQ(coarse.status(), lockstep.status());
+
+  for (unsigned k : {1u, 3u, 4u}) {
+    for (unsigned width : {1u, 8u, 64u}) {
+      const std::string at =
+          std::to_string(k) + " shards, width " + std::to_string(width);
+      ShardedOptions sopt;
+      sopt.num_threads = k;
+      sopt.batch_width = width;
+      ShardedSim streamed(c, u, sopt);
+      streamed.run(t);
+      ShardedSim per_vector(c, u, sopt);
+      per_vector.set_detection_observer(
+          [](std::uint32_t, std::uint32_t, bool) {});
+      per_vector.run(t);
+
+      EXPECT_EQ(streamed.status(), lockstep.status()) << at;
+      EXPECT_EQ(per_vector.status(), streamed.status()) << at;
+      ASSERT_EQ(streamed.num_shards(), k) << at;
+      for (unsigned s = 0; s < k; ++s) {
+        EXPECT_EQ(streamed.engine(s).gates_processed(),
+                  per_vector.engine(s).gates_processed())
+            << at << ", shard " << s;
+        EXPECT_EQ(streamed.engine(s).elements_evaluated(),
+                  per_vector.engine(s).elements_evaluated())
+            << at << ", shard " << s;
+      }
+      const obs::Counters got = streamed.stats().total.counters;
+      const obs::Counters want = per_vector.stats().total.counters;
+      for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+        const auto ctr = static_cast<obs::Counter>(i);
+        EXPECT_EQ(got.get(ctr), want.get(ctr))
+            << at << ", " << obs::counter_name(ctr);
+      }
+#if CFS_OBS_ENABLED
+      if (width > 1) {
+        // A band packed: its shorter lanes idled.
+        EXPECT_GT(got.get(obs::Counter::BatchLanesWasted), 0u) << at;
+      }
+#endif
+    }
+  }
 }
 
 TEST(ShardedSim, ObservationStreamMatchesSingleEngine) {

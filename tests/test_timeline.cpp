@@ -215,8 +215,8 @@ std::vector<DetTuple> sampled_run(unsigned threads, unsigned batch) {
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const TestSuite t(PatternSet::random(c.inputs().size(), 48, 11));
   obs::Timeline tl(64);
-  run_csim_sharded(c, u, t, CsimVariant::MV, threads, Val::Zero,
-                   /*drop_detected=*/true, /*trace=*/nullptr, batch, &tl);
+  run_csim(c, u, t, CsimVariant::MV, Val::Zero, /*drop_detected=*/true,
+           threads, /*trace=*/nullptr, batch, &tl);
   EXPECT_EQ(tl.size(), 48u);
   EXPECT_EQ(tl.num_shards(), threads);
   std::vector<DetTuple> out;
@@ -263,8 +263,8 @@ TEST(Timeline, JsonlStreamWellFormed) {
   const TestSuite t(PatternSet::random(c.inputs().size(), 24, 11));
   obs::Timeline tl(8);  // ring smaller than the run: stream gets all samples
   tl.stream_to(path);
-  run_csim_sharded(c, u, t, CsimVariant::MV, 2, Val::Zero,
-                   /*drop_detected=*/true, /*trace=*/nullptr, 1, &tl);
+  run_csim(c, u, t, CsimVariant::MV, Val::Zero, /*drop_detected=*/true, 2,
+           /*trace=*/nullptr, 1, &tl);
   tl.flush();
 
   const std::vector<std::string> lines = read_lines(path);

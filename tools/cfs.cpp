@@ -447,11 +447,11 @@ int cmd_sim(const Args& args) {
     return run_campaign(args, c, engine, ff_init, threads, batch, tests);
   }
 
-  // --trace and --timeline/--progress route through the sharded driver
-  // (one track per shard, one sample per vector); with --threads=1 that
-  // driver *is* the plain engine, so both are available for every csim
-  // run.  Output paths are probed up front (obs::ensure_writable) so a
-  // typo'd path fails before the simulation, not after it.
+  // Every csim run goes through the sharded driver, whose one shard at
+  // --threads=1 is the plain engine, so --trace (one track per shard) and
+  // --timeline/--progress (one sample per vector) are available for every
+  // csim run.  Output paths are probed up front (obs::ensure_writable) so
+  // a typo'd path fails before the simulation, not after it.
   const std::string trace_path = args.get("trace");
   if (!trace_path.empty() && !csim_engine) {
     throw Error("--trace supports the csim engines only");
@@ -483,29 +483,21 @@ int cmd_sim(const Args& args) {
   // engines only; the baselines have no sharded driver to sample).
   if (!stats_path.empty() && csim_engine) tl = &timeline;
 
-  const bool sharded =
-      threads > 1 || batch > 1 || tr != nullptr || tl != nullptr;
-
   RunResult r;
   if (args.has("transition")) {
     if (engine != "csim-mv" && engine != "csim-v" && engine != "csim") {
       throw Error("--transition requires a csim engine");
     }
     const FaultUniverse u = FaultUniverse::all_transition(c);
-    r = sharded ? run_csim_transition_sharded(c, u, tests, threads, ff_init,
-                                              engine != "csim", tr, batch,
-                                              tl, rpol)
-                : run_csim_transition(c, u, tests, ff_init,
-                                      engine != "csim");
+    r = run_csim_transition(c, u, tests, ff_init, engine != "csim", threads,
+                            tr, batch, tl, rpol);
   } else if (args.has("sample")) {
     const FaultUniverse full = FaultUniverse::all_stuck_at(c);
     const SubUniverse sub = restrict_universe(
         full, sample_faults(full, args.get_u64("sample", 1000),
                             args.get_u64("seed", 1) + 1));
-    r = sharded ? run_csim_sharded(c, sub.universe, tests, CsimVariant::V,
-                                   threads, ff_init, true, tr, batch, tl,
-                                   rpol)
-                : run_csim(c, sub.universe, tests, CsimVariant::V, ff_init);
+    r = run_csim(c, sub.universe, tests, CsimVariant::V, ff_init, true,
+                 threads, tr, batch, tl, rpol);
     r.sim_name += " (sampled " + std::to_string(sub.universe.size()) + "/" +
                   std::to_string(full.size()) + ")";
   } else if (args.has("collapse")) {
@@ -533,9 +525,8 @@ int cmd_sim(const Args& args) {
   } else {
     const FaultUniverse u = FaultUniverse::all_stuck_at(c);
     const auto run_variant = [&](CsimVariant v) {
-      return sharded ? run_csim_sharded(c, u, tests, v, threads, ff_init,
-                                        true, tr, batch, tl, rpol)
-                     : run_csim(c, u, tests, v, ff_init);
+      return run_csim(c, u, tests, v, ff_init, true, threads, tr, batch, tl,
+                      rpol);
     };
     if (engine == "csim-mv") {
       r = run_variant(CsimVariant::MV);
