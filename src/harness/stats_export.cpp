@@ -85,14 +85,6 @@ void write_run_stats_json(std::ostream& os, const RunMetadata& meta,
     w.end_object();
   }
 
-  // Containment counters (resil/containment.h): zero unless the run had
-  // shard failure containment enabled and a shard actually failed.
-  w.key("resil");
-  w.begin_object();
-  w.field("shard_retries", r.stats.shard_retries);
-  w.field("shard_requeues", r.stats.shard_requeues);
-  w.end_object();
-
   // Dynamic-rebalancing counters (sim/sharded_sim.h): zero unless the run
   // enabled --rebalance and the policy actually fired.
   w.key("rebalance");

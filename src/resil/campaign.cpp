@@ -1,5 +1,6 @@
 #include "resil/campaign.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -230,7 +231,21 @@ CampaignResult CampaignRunner::run() {
 
   const std::size_t nf = model_->num_faults();
   const bool budgeted = opt_.sharded.csim.max_elements != 0;
+  const ResilOptions& ro = opt_.sharded.resil;
   const auto& seqs = suite_.sequences();
+
+  // Shard failure containment: whether to retry a vector that has already
+  // been retried `failures` times; a retry sleeps an exponential backoff
+  // first.
+  const auto contain = [&](unsigned& failures) {
+    if (failures >= ro.max_retries) return false;
+    ++failures;
+    ++shard_retries_;
+    const std::uint64_t ms = std::uint64_t{ro.backoff_ms}
+                             << std::min(failures - 1, 20u);
+    if (ms != 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    return true;
+  };
 
   const auto finish = [&](bool halted, bool stopped = false) {
     // Orderly exits drain the sample buffer (a checkpoint, when one was
@@ -249,8 +264,8 @@ CampaignResult CampaignRunner::run() {
     res.checkpoint_write_retries = checkpoint_write_retries_;
     res.halted = halted;
     res.stopped = stopped;
-    res.shard_retries = sim_->shard_retries();
-    res.shard_requeues = sim_->shard_requeues();
+    res.shard_retries = shard_retries_;
+    res.shard_requeues = shard_requeues_;
     res.peak_elements = sim_->stats().total.peak_elements;
     res.rebalances = sim_->rebalances();
     res.faults_migrated = sim_->faults_migrated();
@@ -277,21 +292,28 @@ CampaignResult CampaignRunner::run() {
       }
       resumed_mid_sequence_ = false;
       while (vec_ < sq.size()) {
-        // Boundary snapshot: what a budget overflow mid-vector rolls back
-        // to.  Only paid when a budget is actually enforced.
+        // Boundary snapshot: what a budget overflow or a failed shard
+        // rolls back to.  Only paid when a budget or containment is on.
         RunStateSnapshot boundary;
-        if (budgeted) boundary = sim_->capture_run_state();
-        for (;;) {
+        if (budgeted || ro.max_retries > 0) {
+          boundary = sim_->capture_run_state();
+        }
+        for (unsigned failures = 0;;) {
           try {
             sim_->apply_vector(sq[vec_]);
             break;
           } catch (const PoolBudgetError&) {
             if (!budgeted) throw;
-            // Degrade: park half the remaining work, roll the engines back
-            // to the vector boundary, and retry the same vector.
+            // Degrade: park half the remaining work.
             suspend_half();
-            restore_with_budget(boundary);
+          } catch (const ShardDeadlineExceeded&) {
+            if (!contain(failures)) throw;
+            ++shard_requeues_;
+          } catch (...) {
+            if (!contain(failures)) throw;
           }
+          // Roll every shard back to the vector boundary and retry it.
+          restore_with_budget(boundary);
         }
         absorb_status(seq_base + vec_);
         ++vec_;

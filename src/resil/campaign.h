@@ -20,10 +20,12 @@
 //     the same vector sequence.  The detected set is identical to the
 //     unlimited run's -- only wall time and pass count grow.
 //
-//  3. Shard failure containment is configured through
-//     ShardedOptions::resil and implemented inside ShardedSim itself
-//     (resil/containment.h); the campaign simply surfaces the retry/requeue
-//     counters.
+//  3. Shard failure containment (ShardedOptions::resil,
+//     resil/containment.h): a shard's exception, or a shard still running at
+//     the watchdog deadline (ShardDeadlineExceeded), restores every shard
+//     from the same pre-vector boundary and retries the vector, with
+//     exponential backoff, up to max_retries times.  The campaign counts
+//     the retries, and the requeues of hung shards among them.
 //
 // Deterministic counters (DetectionsHard/DetectionsPotential/FaultsDropped)
 // are recomputed here from master-status transitions rather than read from
@@ -41,6 +43,7 @@
 #include "core/sim_model.h"
 #include "faults/macro_map.h"
 #include "patterns/pattern.h"
+#include "resil/containment.h"
 #include "resil/snapshot.h"
 #include "sim/sharded_sim.h"
 
@@ -119,8 +122,8 @@ struct CampaignResult {
   std::uint64_t checkpoint_write_retries = 0;
   bool halted = false;                ///< stopped by halt_after or stop flag
   bool stopped = false;               ///< stopped by the cooperative flag
-  std::uint64_t shard_retries = 0;    ///< containment retry attempts
-  std::uint64_t shard_requeues = 0;   ///< hung-shard slice requeues
+  std::uint64_t shard_retries = 0;    ///< vector retries after a failure
+  std::uint64_t shard_requeues = 0;   ///< retries after a hung shard
   std::size_t peak_elements = 0;      ///< summed shard pool high-water
   /// Dynamic-rebalancing activity (this process only -- a resumed campaign
   /// rebuilds its simulator, and with it these work-telemetry counters;
@@ -191,6 +194,8 @@ class CampaignRunner {
   std::uint64_t vectors_run_ = 0;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t checkpoint_write_retries_ = 0;
+  std::uint64_t shard_retries_ = 0;
+  std::uint64_t shard_requeues_ = 0;
   std::uint64_t suite_fp_ = 0;
   bool resumed_mid_sequence_ = false;
 };

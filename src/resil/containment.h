@@ -1,5 +1,5 @@
-// Shard failure containment: configuration knobs and the test-only fault
-// injector.
+// Shard failure containment: configuration knobs, the watchdog's error,
+// and the test-only fault injector.
 //
 // Header-only on purpose -- sim/sharded_sim.h includes this so ShardedOptions
 // can carry the containment configuration without a cfs_sharded -> cfs_resil
@@ -7,14 +7,15 @@
 // serialization, the campaign runner) live in cfs_resil, which links
 // cfs_sharded the normal way round.
 //
-// The containment protocol itself is implemented by ShardedSim's resilient
-// vector path (sim/sharded_sim.cpp): each shard attempt runs on a dedicated
-// thread behind an isolation boundary (exceptions captured, an optional
-// per-round deadline watchdog), a failed or hung shard's slice is requeued --
-// its engine restored (or rebuilt, for a hung one) from the pre-vector
-// boundary snapshot and retried with exponential backoff -- and the
-// deterministic merge order is untouched because retries never change which
-// shard owns which fault.
+// Containment is the campaign's retry of one vector from its pre-vector
+// boundary snapshot -- the one its element budget already rolls back to
+// (resil/campaign.cpp): every shard is restored and the vector rerun, with
+// exponential backoff, up to max_retries times.  ShardedSim adds only the
+// watchdog: with a deadline each shard runs on its own thread, and a shard
+// still running when it expires is parked (engine and thread, until the
+// simulator is destroyed), rebuilt, and reported as ShardDeadlineExceeded.
+// Retries never change which shard owns which fault, so the deterministic
+// merge is untouched.
 #pragma once
 
 #include <chrono>
@@ -34,6 +35,17 @@ struct InjectedShardFailure : Error {
   InjectedShardFailure(unsigned shard, std::uint64_t vector)
       : Error("injected failure on shard " + std::to_string(shard) +
               " at vector " + std::to_string(vector)) {}
+};
+
+/// Thrown by ShardedSim::apply_vector when a shard is still running at the
+/// watchdog deadline.  The hung shard's engine has already been replaced by
+/// a fresh one, so the caller must restore a boundary before going on.
+struct ShardDeadlineExceeded : Error {
+  ShardDeadlineExceeded(unsigned shard, std::uint64_t vector,
+                        std::uint32_t deadline_ms)
+      : Error("shard " + std::to_string(shard) + " still running " +
+              std::to_string(deadline_ms) + " ms into vector " +
+              std::to_string(vector)) {}
 };
 
 /// One scripted failure.  Shard faults (`Throw`, `Stall`) fire on shard
@@ -207,17 +219,20 @@ class FaultInjector {
 };
 
 /// Shard failure containment configuration (carried by ShardedOptions).
+/// The campaign (resil/campaign.h) reads max_retries and backoff_ms;
+/// ShardedSim reads deadline_ms and injector.
 struct ResilOptions {
-  /// Retry rounds per vector before the failure propagates.  0 disables the
-  /// containment path entirely: apply_vector uses the plain fork-join fast
-  /// path and any shard exception aborts the vector.
+  /// Times one vector is retried from its boundary before the failure
+  /// propagates.  0 = no containment: any shard exception aborts the
+  /// campaign.
   unsigned max_retries = 0;
-  /// Watchdog deadline per attempt round (ms).  A shard still running when
-  /// it expires is declared hung: its worker thread and engine are abandoned
-  /// (parked until destruction) and the slice is requeued on a rebuilt
-  /// engine.  0 = no watchdog; only exceptions are contained.
+  /// Watchdog deadline per vector attempt (ms).  A shard still running when
+  /// it expires is declared hung: its worker thread and engine are
+  /// abandoned (parked until destruction), the shard gets a rebuilt engine,
+  /// and apply_vector throws ShardDeadlineExceeded.  0 = no watchdog.
   std::uint32_t deadline_ms = 0;
-  /// Base backoff between retry rounds (ms); doubles every round.
+  /// Base backoff before a retry (ms); doubles with every failure of the
+  /// same vector.
   std::uint32_t backoff_ms = 1;
   /// Test-only sabotage hook; not owned, may be null.
   FaultInjector* injector = nullptr;

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <numeric>
 #include <optional>
 
 #include "patterns/batch_plan.h"
@@ -162,40 +161,37 @@ void ShardedSim::reset(Val ff_init, bool clear_status) {
 }
 
 std::size_t ShardedSim::apply_vector(std::span<const Val> pi_vals) {
-  // The containment path is incompatible with detection observers: an
-  // abandoned worker could still be appending to its observation buffer
-  // while the requeued attempt records into the same slot.
-  if (opt_.resil.max_retries > 0 && !observer_) {
-    return apply_vector_resilient(pi_vals);
-  }
   const std::size_t k = engines_.size();
   const std::uint64_t vec_no = vec_base_ + vectors_applied_;
   const bool sampling = timeline_ != nullptr && timeline_->want(vec_no);
   const std::uint64_t started_us = sampling ? timeline_->now_us() : 0;
   std::vector<std::size_t> newly(k, 0);
-  pool_.parallel_for(k, [&](std::size_t s) {
-    shard_obs_[s].clear();
-    const bool timing = trace_ != nullptr || sampling;
-    const std::uint64_t t0 =
-        timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
-    if (opt_.resil.injector != nullptr) {
-      opt_.resil.injector->maybe_fire(static_cast<unsigned>(s),
-                                      vectors_applied_);
-    }
-    newly[s] = engines_[s]->apply_vector(pi_vals);
-    const std::uint64_t t1 =
-        timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
-    if (sampling) shard_latency_us_[s] = t1 - t0;
-    if (trace_) {
-      const auto tid = static_cast<std::uint32_t>(s);
-      trace_->complete(tid, "vector", t0, t1 - t0);
-      if (newly[s] > 0) {
-        trace_->instant(tid, "detect x" + std::to_string(newly[s]), t1);
-      }
-    }
-  });
-  ++vectors_applied_;
+  // A throw leaves the shards mid-vector; the caller restores a boundary.
   merged_dirty_ = true;
+  // A pool task cannot be abandoned, so a watchdog runs each shard on its
+  // own thread.  Observed runs keep the pool: an abandoned worker could
+  // still be appending to its observation buffer when the retry records
+  // into the same slot.
+  if (opt_.resil.deadline_ms > 0 && !observer_) {
+    apply_watched(pi_vals, newly, sampling);
+  } else {
+    pool_.parallel_for(k, [&](std::size_t s) {
+      shard_obs_[s].clear();
+      const bool timing = trace_ != nullptr || sampling;
+      const std::uint64_t t0 =
+          timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
+      if (opt_.resil.injector != nullptr) {
+        opt_.resil.injector->maybe_fire(static_cast<unsigned>(s),
+                                        vectors_applied_);
+      }
+      newly[s] = engines_[s]->apply_vector(pi_vals);
+      const std::uint64_t t1 =
+          timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
+      if (sampling) shard_latency_us_[s] = t1 - t0;
+      trace_vector(s, t0, t1, newly[s]);
+    });
+  }
+  ++vectors_applied_;
   if (observer_) replay_observations();
   if (sampling) record_sample(vec_no, started_us);
   maybe_rebalance();
@@ -204,186 +200,124 @@ std::size_t ShardedSim::apply_vector(std::span<const Val> pi_vals) {
   return total;
 }
 
-std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
+void ShardedSim::apply_watched(std::span<const Val> pi_vals,
+                               std::vector<std::size_t>& newly,
+                               bool sampling) {
   const std::size_t k = engines_.size();
-  // Boundary state: what a failed or hung shard's retry restarts from.
-  // Captured per shard so a retry only rebuilds the shard that failed.
-  std::vector<RunStateSnapshot> snaps(k);
-  std::vector<std::vector<Detect>> snap_status(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    snaps[s] = engines_[s]->capture_run_state();
-    snap_status[s] = engines_[s]->status();
-  }
-  // The vector outlives this call if a worker hangs, so the abandoned
-  // thread must not read through the caller's span.
-  const auto pis = std::make_shared<const std::vector<Val>>(pi_vals.begin(),
-                                                            pi_vals.end());
-  struct Sync {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t completed = 0;
-  };
-  struct Task {
+  // A hung worker outlives this call, so a worker touches only shared
+  // state: its engine, a copy of the inputs, and its own slot.
+  struct Slot {
     ConcurrentSim* engine = nullptr;
-    std::shared_ptr<const std::vector<Val>> pis;
     std::size_t newly = 0;
     std::uint64_t latency_us = 0;
     std::exception_ptr error;
-    bool done = false;  // guarded by the round's Sync::mu
+    bool done = false;  // guarded by Watch::mu
   };
-
-  const std::uint64_t vec_no = vectors_applied_;
-  const std::uint64_t sample_vec = vec_base_ + vectors_applied_;
-  const bool sampling = timeline_ != nullptr && timeline_->want(sample_vec);
-  const std::uint64_t started_us = sampling ? timeline_->now_us() : 0;
-  std::vector<std::size_t> newly(k, 0);
-  std::vector<std::size_t> pending(k);
-  std::iota(pending.begin(), pending.end(), std::size_t{0});
-
-  for (unsigned round = 0;; ++round) {
-    // Isolation boundary: one dedicated thread per pending shard (the
-    // shared ThreadPool cannot abandon a hung task).  Each worker's result
-    // lands in a shared_ptr'd Task so an abandoned worker scribbles on its
-    // own orphaned state, never on the retry's.
-    const auto sync = std::make_shared<Sync>();
-    std::vector<std::shared_ptr<Task>> tasks(pending.size());
-    std::vector<std::thread> threads(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const auto shard = static_cast<unsigned>(pending[i]);
-      auto task = std::make_shared<Task>();
-      task->engine = engines_[shard].get();
-      task->pis = pis;
-      tasks[i] = task;
-      resil::FaultInjector* inj = opt_.resil.injector;
-      threads[i] = std::thread([task, sync, inj, shard, vec_no] {
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          if (inj != nullptr) inj->maybe_fire(shard, vec_no);
-          task->newly = task->engine->apply_vector(*task->pis);
-        } catch (...) {
-          task->error = std::current_exception();
-        }
-        task->latency_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        {
-          std::lock_guard<std::mutex> lk(sync->mu);
-          task->done = true;
-          ++sync->completed;
-        }
-        sync->cv.notify_all();
-      });
-    }
-    {
-      std::unique_lock<std::mutex> lk(sync->mu);
-      const auto all_done = [&] { return sync->completed == tasks.size(); };
-      if (opt_.resil.deadline_ms == 0) {
-        sync->cv.wait(lk, all_done);
-      } else {
-        sync->cv.wait_for(lk,
-                          std::chrono::milliseconds(opt_.resil.deadline_ms),
-                          all_done);
-      }
-    }
-
-    std::vector<std::size_t> failed;
-    std::exception_ptr budget_error;
-    std::exception_ptr last_error;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const std::size_t s = pending[i];
-      bool done;
-      {
-        std::lock_guard<std::mutex> lk(sync->mu);
-        done = tasks[i]->done;
-      }
-      if (!done) {
-        // Hung past the deadline: abandon worker and engine (parked until
-        // destruction -- the thread is still executing inside the engine)
-        // and requeue the shard's slice on a rebuilt engine.
-        graveyard_.push_back(
-            Abandoned{std::move(engines_[s]), std::move(threads[i])});
-        engines_[s] = make_shard_engine(static_cast<unsigned>(s));
-        engines_[s]->restore_run_state(snaps[s], snap_status[s]);
-        ++shard_requeues_;
-        ++shard_retries_;
-        if (trace_) {
-          trace_->instant(driver_tid(),
-                          "requeue shard " + std::to_string(s),
-                          trace_->now_us());
-        }
-        failed.push_back(s);
-        continue;
-      }
-      threads[i].join();
-      if (!tasks[i]->error) {
-        newly[s] = tasks[i]->newly;
-        if (sampling) shard_latency_us_[s] = tasks[i]->latency_us;
-        continue;
-      }
-      bool is_budget = false;
+  struct Watch {
+    std::vector<Val> pis;
+    std::vector<Slot> slots;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t finished = 0;
+  };
+  const auto w = std::make_shared<Watch>();
+  w->pis.assign(pi_vals.begin(), pi_vals.end());
+  w->slots.resize(k);
+  const std::uint64_t t0 = trace_ != nullptr ? trace_->now_us() : 0;
+  const auto launch = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    w->slots[s].engine = engines_[s].get();
+    workers[s] = std::thread([w, s, launch, inj = opt_.resil.injector,
+                              vec = vectors_applied_] {
+      Slot& slot = w->slots[s];
       try {
-        std::rethrow_exception(tasks[i]->error);
-      } catch (const PoolBudgetError&) {
-        is_budget = true;
-        budget_error = tasks[i]->error;
+        if (inj != nullptr) inj->maybe_fire(static_cast<unsigned>(s), vec);
+        slot.newly = slot.engine->apply_vector(w->pis);
       } catch (...) {
-        last_error = tasks[i]->error;
+        slot.error = std::current_exception();
       }
-      if (is_budget) continue;  // not retryable: same budget, same throw
-      // The engine may be a half-merged wreck; restore_run_state rebuilds
-      // it from the boundary wholesale.
-      engines_[s]->restore_run_state(snaps[s], snap_status[s]);
-      ++shard_retries_;
-      if (trace_) {
-        trace_->instant(driver_tid(), "retry shard " + std::to_string(s),
-                        trace_->now_us());
+      slot.latency_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - launch)
+              .count());
+      {
+        std::lock_guard<std::mutex> lk(w->mu);
+        slot.done = true;
+        ++w->finished;
       }
-      failed.push_back(s);
-    }
-
-    if (budget_error) {
-      // Memory-budget overflow is the campaign's to handle (suspend part of
-      // the universe, restore, go multi-pass); retrying here cannot help.
-      merged_dirty_ = true;
-      std::rethrow_exception(budget_error);
-    }
-    if (failed.empty()) break;
-    if (round >= opt_.resil.max_retries) {
-      merged_dirty_ = true;
-      if (last_error) std::rethrow_exception(last_error);
-      throw Error("shard deadline exceeded " +
-                  std::to_string(opt_.resil.max_retries + 1) +
-                  " times; giving up on vector " + std::to_string(vec_no));
-    }
-    // Exponential backoff before the retry round.
-    const std::uint64_t ms = std::uint64_t{opt_.resil.backoff_ms}
-                             << std::min(round, 20u);
-    if (ms != 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    pending = std::move(failed);
+      w->cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lk(w->mu);
+    w->cv.wait_for(lk, std::chrono::milliseconds(opt_.resil.deadline_ms),
+                   [&] { return w->finished == k; });
   }
 
-  ++vectors_applied_;
-  merged_dirty_ = true;
-  if (sampling) record_sample(sample_vec, started_us);
-  maybe_rebalance();
-  std::size_t total = 0;
-  for (std::size_t n : newly) total += n;  // shards are disjoint: exact sum
-  return total;
+  std::vector<std::size_t> hung;
+  std::exception_ptr error;
+  for (std::size_t s = 0; s < k; ++s) {
+    const Slot& slot = w->slots[s];
+    bool done;
+    {
+      std::lock_guard<std::mutex> lk(w->mu);
+      done = slot.done;
+    }
+    if (!done) {
+      // The worker is still executing inside its engine: park both until
+      // the destructor joins them.
+      graveyard_.push_back(
+          Abandoned{std::move(engines_[s]), std::move(workers[s])});
+      hung.push_back(s);
+      continue;
+    }
+    workers[s].join();
+    if (slot.error) {
+      if (!error) error = slot.error;
+      continue;
+    }
+    newly[s] = slot.newly;
+    if (sampling) shard_latency_us_[s] = slot.latency_us;
+    trace_vector(s, t0, t0 + slot.latency_us, slot.newly);
+  }
+  // Rebuild only now that every worker is joined or parked: a throwing
+  // rebuild must not destroy a joinable thread.
+  for (const std::size_t s : hung) {
+    engines_[s] = make_shard_engine(static_cast<unsigned>(s));
+    if (trace_ != nullptr) {
+      trace_->instant(driver_tid(), "requeue shard " + std::to_string(s),
+                      trace_->now_us());
+    }
+  }
+  if (!hung.empty()) {
+    throw resil::ShardDeadlineExceeded(static_cast<unsigned>(hung[0]),
+                                       vectors_applied_,
+                                       opt_.resil.deadline_ms);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void ShardedSim::trace_vector(std::size_t s, std::uint64_t t0,
+                              std::uint64_t t1, std::size_t newly) const {
+  if (trace_ == nullptr) return;
+  const auto tid = static_cast<std::uint32_t>(s);
+  trace_->complete(tid, "vector", t0, t1 - t0);
+  if (newly > 0) trace_->instant(tid, "detect x" + std::to_string(newly), t1);
 }
 
 void ShardedSim::run(const TestSuite& t, Val ff_init) {
   const Circuit& c = model_->circuit();
-  // Containment keeps width 1: a hung shard's abandoned worker can outlive
+  // A watchdog keeps width 1: a hung shard's abandoned worker can outlive
   // run(), so no engine may hold a pointer into the slab.
-  const bool contained = opt_.resil.max_retries > 0;
+  const bool watched = opt_.resil.deadline_ms > 0;
   const BatchPlan plan =
-      BatchPlan::build(c, t, contained ? 1 : opt_.batch_width);
+      BatchPlan::build(c, t, watched ? 1 : opt_.batch_width);
   // Work that must act between vectors sends every segment through
   // apply_vector(); otherwise each shard streams a segment on its own.
   const bool per_vector =
       observer_ || timeline_ != nullptr ||
-      opt_.resil.injector != nullptr || contained ||
+      opt_.resil.injector != nullptr || watched ||
       (opt_.rebalance.mode != RebalancePolicy::Mode::Off &&
        engines_.size() > 1);
 
@@ -764,8 +698,6 @@ SimStats ShardedSim::stats() const {
   st.model_bytes = model_->bytes();
   st.circuit_bytes = model_->circuit().bytes();
   st.driver = driver_timers_;
-  st.shard_retries = shard_retries_;
-  st.shard_requeues = shard_requeues_;
   st.rebalances = rebalances_;
   st.faults_migrated = faults_migrated_;
   st.elements_migrated = elements_migrated_;

@@ -82,6 +82,8 @@ struct ShardedOptions {
   /// budget for the *whole* universe: it is divided across the shards.
   CsimOptions csim;
   /// Shard failure containment (resil/containment.h).  Off by default.
+  /// ShardedSim reads the watchdog deadline and the injector; the retry
+  /// budget and backoff belong to the campaign (resil/campaign.h).
   resil::ResilOptions resil;
   /// Pattern-lane width for run(): >1 precomputes the good machine for up
   /// to `batch_width` vectors at a time in one packed multi-word
@@ -90,8 +92,8 @@ struct ShardedOptions {
   /// the second parallelism axis, orthogonal to num_threads.  Results are
   /// bit-identical for any width (clamped to [1, kMaxBatchLanes]).
   /// Single-lane bands and the per-vector apply_vector() API use each
-  /// engine's own good machine; containment runs (max_retries > 0) plan
-  /// at width 1.
+  /// engine's own good machine; runs with a watchdog (resil.deadline_ms >
+  /// 0) plan at width 1.
   unsigned batch_width = 1;
   /// Dynamic shard rebalancing (no-op with a single shard).  At the end of
   /// a vector, when the policy triggers, the driver captures the merged
@@ -146,11 +148,6 @@ struct SimStats {
   obs::PhaseTimers driver;
   std::size_t model_bytes = 0;
   std::size_t circuit_bytes = 0;
-  /// Containment counters: shard vector attempts that were retried after an
-  /// exception or a deadline expiry, and the subset where a hung shard's
-  /// slice was requeued onto a rebuilt engine.  Zero with containment off.
-  std::uint64_t shard_retries = 0;
-  std::uint64_t shard_requeues = 0;
   /// Dynamic-rebalancing counters: repartitions performed, faults whose
   /// owner shard changed, and the live elements those faults carried at
   /// migration time.  Zero with rebalancing off (or one shard).
@@ -171,7 +168,8 @@ class ShardedSim {
   explicit ShardedSim(std::shared_ptr<const SimModel> model,
                       ShardedOptions opt = {});
 
-  /// Joins any worker threads abandoned by the deadline watchdog.
+  /// Joins any worker threads abandoned by the deadline watchdog (a worker
+  /// that never returns blocks here).
   ~ShardedSim();
 
   const SimModel& model() const { return *model_; }
@@ -190,7 +188,12 @@ class ShardedSim {
   /// newly hard-detected faults across the universe.  If a detection
   /// observer is set, the merged PO-mismatch observations are replayed in
   /// (PO position, fault id) order -- exactly the order a single
-  /// ConcurrentSim emits them in.
+  /// ConcurrentSim emits them in.  A shard's exception is rethrown once
+  /// every shard has finished; with a watchdog (resil.deadline_ms > 0, no
+  /// observer) a shard still running at the deadline is abandoned and
+  /// rebuilt, and resil::ShardDeadlineExceeded is thrown.  A throw leaves
+  /// the vector uncounted and the shards mid-vector: restore_run_state()
+  /// the vector's boundary before going on (resil/campaign.h retries so).
   std::size_t apply_vector(std::span<const Val> pi_vals);
 
   /// Simulate a whole suite: one reset per sequence, vectors in order.
@@ -200,8 +203,8 @@ class ShardedSim {
   /// run of unpacked bands -- at width 1 the whole suite is one segment.
   /// Each shard streams a segment on its own, one fork-join per segment,
   /// unless something must act between vectors (a detection observer, a
-  /// timeline, a fault injector, containment, or rebalancing with more
-  /// than one shard); then the segment goes vector by vector through
+  /// timeline, a fault injector, a watchdog deadline, or rebalancing with
+  /// more than one shard); then the segment goes vector by vector through
   /// apply_vector().  Every engine makes the same apply_vector calls with
   /// the same good frames either way, so the merged status, detection
   /// order, and deterministic counters are the same.
@@ -228,8 +231,8 @@ class ShardedSim {
                          const std::vector<Detect>& status);
 
   /// Replace the suspension overlay on every shard (takes effect at the
-  /// next restore_run_state()/reset()); replacement engines built by the
-  /// containment path inherit it.
+  /// next restore_run_state()/reset()); the engine rebuilt for a hung shard
+  /// inherits it.
   void set_suspended(const std::vector<std::uint8_t>& suspended);
 
   /// Push a master detection-status table into every shard ahead of a
@@ -240,10 +243,6 @@ class ShardedSim {
 
   /// Start a fresh element-pool high-water epoch on every shard.
   void reset_peak_elements();
-
-  /// Containment counters (see SimStats).
-  std::uint64_t shard_retries() const { return shard_retries_; }
-  std::uint64_t shard_requeues() const { return shard_requeues_; }
 
   // -- dynamic rebalancing --------------------------------------------------
 
@@ -303,11 +302,17 @@ class ShardedSim {
   /// Per-shard engine options: default pool pre-size from the shard's slice,
   /// universe-wide element budget divided across the shards.
   CsimOptions shard_csim_options(unsigned s) const;
-  /// Build (or rebuild, on the containment path) shard `s`'s engine with the
+  /// Build (or rebuild, for a hung shard) shard `s`'s engine with the
   /// current suspension overlay.
   std::unique_ptr<ConcurrentSim> make_shard_engine(unsigned s) const;
-  /// The containment path: isolation boundary + watchdog + bounded requeue.
-  std::size_t apply_vector_resilient(std::span<const Val> pi_vals);
+  /// apply_vector's watchdog fork: one thread per shard, a deadline, and
+  /// the hung shards parked in graveyard_ and rebuilt.  Fills `newly`.
+  void apply_watched(std::span<const Val> pi_vals,
+                     std::vector<std::size_t>& newly, bool sampling);
+  /// Shard `s`'s `vector` slice on its trace track, [t0, t1], plus an
+  /// instant for the faults it newly detected (no-op without a trace).
+  void trace_vector(std::size_t s, std::uint64_t t0, std::uint64_t t1,
+                    std::size_t newly) const;
   /// Assemble and record one timeline sample for the vector that just
   /// completed (driver thread; merged status is the deterministic source).
   void record_sample(std::uint64_t vec_no, std::uint64_t started_us);
@@ -326,8 +331,6 @@ class ShardedSim {
   // Driver-level vector counter: the `vector` coordinate injection specs
   // address, and the campaign's notion of progress.
   std::uint64_t vectors_applied_ = 0;
-  std::uint64_t shard_retries_ = 0;
-  std::uint64_t shard_requeues_ = 0;
   // Dynamic-rebalancing counters and the auto policy's cooldown anchor.
   std::uint64_t rebalances_ = 0;
   std::uint64_t faults_migrated_ = 0;
@@ -335,7 +338,8 @@ class ShardedSim {
   std::uint64_t last_rebalance_vec_ = 0;
   // A hung shard's abandoned worker and engine: the thread still runs (or
   // sleeps) inside the engine, so both stay alive, parked here, until the
-  // destructor joins them.
+  // destructor joins them.  A worker that never returns therefore blocks
+  // the destructor.
   struct Abandoned {
     std::unique_ptr<ConcurrentSim> engine;
     std::thread worker;

@@ -1,8 +1,10 @@
 #include "svc/service.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "netlist/bench_parser.h"
@@ -591,18 +593,20 @@ std::string Service::op_open(const JsonValue& req) {
   if (spec.mode != "sa" && spec.mode != "sa-macro" && spec.mode != "tr") {
     throw ProtocolError("bad_request", "mode must be sa, sa-macro, or tr");
   }
-  spec.threads = static_cast<unsigned>(req.opt_u64("threads", 1));
-  spec.batch = static_cast<unsigned>(req.opt_u64("batch", 1));
-  if (spec.threads == 0 || spec.threads > 64 || spec.batch == 0 ||
-      spec.batch > 64) {
+  // Range-check before narrowing: 2^32 + 1 threads must not become 1.
+  const std::uint64_t threads = req.opt_u64("threads", 1);
+  const std::uint64_t batch = req.opt_u64("batch", 1);
+  if (threads == 0 || threads > 64 || batch == 0 || batch > 64) {
     throw ProtocolError("bad_request", "threads and batch must be 1..64");
   }
+  spec.threads = static_cast<unsigned>(threads);
+  spec.batch = static_cast<unsigned>(batch);
   spec.elements = req.opt_u64("elements", 0);
   if (spec.elements == 0) spec.elements = cfg_.default_session_elements;
   spec.reset0 = req.opt_bool("reset0", false);
-  std::uint32_t wait_ms = static_cast<std::uint32_t>(
-      req.opt_u64("wait_ms", cfg_.queue_deadline_ms));
-  if (wait_ms > cfg_.queue_deadline_ms) wait_ms = cfg_.queue_deadline_ms;
+  const auto wait_ms = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(req.opt_u64("wait_ms", cfg_.queue_deadline_ms),
+                              cfg_.queue_deadline_ms));
 
   std::shared_ptr<Session> s;
   bool fresh = false;
@@ -694,8 +698,9 @@ std::string Service::op_status(const JsonValue& req) {
 std::string Service::op_watch(const JsonValue& req) {
   const std::string name = req.req_string("session");
   const std::uint64_t after = req.opt_u64("after", 0);
-  const std::uint32_t wait_ms =
-      static_cast<std::uint32_t>(req.opt_u64("wait_ms", 1000));
+  const auto wait_ms = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(req.opt_u64("wait_ms", 1000),
+                              std::numeric_limits<std::uint32_t>::max()));
   std::shared_ptr<Session> s = find_session(name);
   if (!s) {
     throw ProtocolError("unknown_session", "no session '" + name + "'");

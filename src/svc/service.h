@@ -97,8 +97,8 @@ struct ServiceConfig {
   std::uint32_t checkpoint_backoff_ms = 1;
 
   /// Shard failure containment for every session (resil/containment.h):
-  /// per-round watchdog deadline and retry budget.  0 deadline = exceptions
-  /// only.
+  /// the campaign's per-vector retry budget and the per-attempt shard
+  /// watchdog deadline.  0 deadline = no watchdog.
   unsigned shard_retries = 2;
   std::uint32_t session_stall_ms = 0;
 

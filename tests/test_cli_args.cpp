@@ -1,6 +1,10 @@
 // Argument parser of the cfs command-line tool.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "args.h"
 #include "util/error.h"
 
@@ -29,18 +33,36 @@ TEST(CliArgs, PositionalAndOptions) {
 TEST(CliArgs, DefaultsApply) {
   const Args a = make({"s27"});
   EXPECT_EQ(a.get("engine", "csim-mv"), "csim-mv");
-  EXPECT_EQ(a.get_u64("random", 256), 256u);
+  EXPECT_EQ(a.get_uint("random", 256), 256u);
 }
 
 TEST(CliArgs, NumericParsing) {
   const Args a = make({"x", "--random=512", "--seed=42"});
-  EXPECT_EQ(a.get_u64("random", 1), 512u);
-  EXPECT_EQ(a.get_u64("seed", 1), 42u);
+  EXPECT_EQ(a.get_uint("random", 1), 512u);
+  EXPECT_EQ(a.get_uint("seed", 1), 42u);
 }
 
 TEST(CliArgs, BadNumberThrows) {
   const Args a = make({"x", "--random=lots"});
-  EXPECT_THROW(a.get_u64("random", 1), Error);
+  EXPECT_THROW(a.get_uint("random", 1), Error);
+  // Digits only: no sign, no space, no suffix.
+  for (const char* bad : {"-1", "+5", " 5", "12abc"}) {
+    const Args b = make({"x", std::string("--n=") + bad});
+    EXPECT_THROW(b.get_uint("n", 1), Error) << bad;
+  }
+  // The value must fit the field it lands in, and the error names the
+  // option.
+  const Args wide = make({"x", "--n=18446744073709551616", "--m=4294967296"});
+  EXPECT_THROW(wide.get_uint("n", 1), Error);
+  EXPECT_EQ(wide.get_uint("m", 1), 4294967296u);
+  try {
+    (void)wide.get_uint<std::uint32_t>("m", 1);
+    ADD_FAILURE() << "4294967296 fit a uint32_t";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--m"), std::string::npos);
+  }
+  const Args edge = make({"x", "--m=4294967295"});
+  EXPECT_EQ(edge.get_uint<std::uint32_t>("m", 1), 4294967295u);
 }
 
 TEST(CliArgs, AllowOnlyCatchesTypos) {

@@ -1,17 +1,12 @@
 // Observability subsystem: counter registry arithmetic, phase-timer
 // accumulation, Chrome-trace and stats-JSON well-formedness (parsed back
-// with a minimal JSON reader), and shard-count invariance of the
+// with the service's JSON reader), and shard-count invariance of the
 // deterministic counter block.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include "gen/known_circuits.h"
 #include "harness/runner.h"
@@ -21,198 +16,15 @@
 #include "obs/timers.h"
 #include "obs/trace.h"
 #include "patterns/pattern.h"
+#include "svc/wire.h"
 #include "util/stopwatch.h"
 
 namespace cfs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (tests only): enough to round-trip what we emit.
-// ---------------------------------------------------------------------------
-
-struct Json;
-using JsonObject = std::map<std::string, Json>;
-using JsonArray = std::vector<Json>;
-
-struct Json {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  bool is_array() const {
-    return std::holds_alternative<std::shared_ptr<JsonArray>>(v);
-  }
-  const JsonObject& obj() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-  const JsonArray& arr() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  double num() const { return std::get<double>(v); }
-  const std::string& str() const { return std::get<std::string>(v); }
-  const Json& at(const std::string& key) const { return obj().at(key); }
-  bool has(const std::string& key) const { return obj().count(key) != 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : s_(text) {}
-
-  Json parse() {
-    Json v = value();
-    ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("json parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-  void ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return Json{string()};
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') {
-      literal("null");
-      return Json{nullptr};
-    }
-    return number();
-  }
-
-  void literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) {
-      fail("bad literal");
-    }
-    pos_ += lit.size();
-  }
-
-  Json boolean() {
-    if (peek() == 't') {
-      literal("true");
-      return Json{true};
-    }
-    literal("false");
-    return Json{false};
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    return Json{std::stod(std::string(s_.substr(start, pos_ - start)))};
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("bad escape");
-        char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) fail("bad \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::stoul(std::string(s_.substr(pos_, 4)), nullptr, 16));
-            pos_ += 4;
-            // Emitter only escapes control chars -- ASCII is enough here.
-            out += static_cast<char>(code);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  Json object() {
-    expect('{');
-    auto obj = std::make_shared<JsonObject>();
-    ws();
-    if (!consume('}')) {
-      while (true) {
-        ws();
-        std::string key = string();
-        ws();
-        expect(':');
-        (*obj)[key] = value();
-        ws();
-        if (consume('}')) break;
-        expect(',');
-      }
-    }
-    return Json{obj};
-  }
-
-  Json array() {
-    expect('[');
-    auto arr = std::make_shared<JsonArray>();
-    ws();
-    if (!consume(']')) {
-      while (true) {
-        arr->push_back(value());
-        ws();
-        if (consume(']')) break;
-        expect(',');
-      }
-    }
-    return Json{arr};
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-Json parse_json(const std::string& text) { return JsonParser(text).parse(); }
+using svc::json_parse;
+using svc::JsonObject;
+using svc::JsonValue;
 
 // ---------------------------------------------------------------------------
 // Counter registry
@@ -348,28 +160,28 @@ TEST(TraceEmitter, OutputIsValidChromeTraceJson) {
 
   std::ostringstream os;
   tr.write(os);
-  const Json doc = parse_json(os.str());
+  const JsonValue doc = json_parse(os.str());
   ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.at("displayTimeUnit").str(), "ms");
-  const JsonArray& ev = doc.at("traceEvents").arr();
+  EXPECT_EQ(doc.req_string("displayTimeUnit"), "ms");
+  const svc::JsonArray& ev = doc.find("traceEvents")->as_array();
   ASSERT_EQ(ev.size(), 5u);
 
   std::size_t meta = 0, complete = 0, instant = 0;
-  for (const Json& e : ev) {
+  for (const JsonValue& e : ev) {
     ASSERT_TRUE(e.is_object());
-    EXPECT_EQ(e.at("pid").num(), 1.0);
-    const std::string& ph = e.at("ph").str();
+    EXPECT_EQ(e.find("pid")->as_number(), 1.0);
+    const std::string& ph = e.req_string("ph");
     if (ph == "M") {
       ++meta;
-      EXPECT_EQ(e.at("name").str(), "thread_name");
-      EXPECT_TRUE(e.at("args").is_object());
+      EXPECT_EQ(e.req_string("name"), "thread_name");
+      EXPECT_TRUE(e.find("args")->is_object());
     } else if (ph == "X") {
       ++complete;
-      EXPECT_TRUE(e.has("ts"));
-      EXPECT_TRUE(e.has("dur"));
+      EXPECT_TRUE(e.find("ts") != nullptr);
+      EXPECT_TRUE(e.find("dur") != nullptr);
     } else if (ph == "i") {
       ++instant;
-      EXPECT_EQ(e.at("s").str(), "t");
+      EXPECT_EQ(e.req_string("s"), "t");
     } else {
       FAIL() << "unexpected phase " << ph;
     }
@@ -380,9 +192,9 @@ TEST(TraceEmitter, OutputIsValidChromeTraceJson) {
 
   // The escaped track name survives the round trip.
   bool found = false;
-  for (const Json& e : ev) {
-    if (e.at("ph").str() == "M" &&
-        e.at("args").at("name").str() == "driver \"quoted\"\n") {
+  for (const JsonValue& e : ev) {
+    if (e.req_string("ph") == "M" &&
+        e.find("args")->req_string("name") == "driver \"quoted\"\n") {
       found = true;
     }
   }
@@ -423,16 +235,16 @@ TEST(JsonWriter, EscapingAndNesting) {
     w.end_array();
     w.end_object();
   }
-  const Json doc = parse_json(os.str());
-  EXPECT_EQ(doc.at("s").str(), "a\"b\\c\nd\x01");
-  EXPECT_EQ(doc.at("i").num(), 18446744073709551615.0);
-  EXPECT_EQ(doc.at("neg").num(), -5.0);
-  EXPECT_EQ(doc.at("d").num(), 1.5);
-  EXPECT_TRUE(std::holds_alternative<std::nullptr_t>(doc.at("nan").v));
-  EXPECT_EQ(std::get<bool>(doc.at("t").v), true);
-  ASSERT_TRUE(doc.at("arr").is_array());
-  EXPECT_EQ(doc.at("arr").arr().at(0).num(), 1.0);
-  EXPECT_EQ(doc.at("arr").arr().at(1).at("k").num(), 2.0);
+  const JsonValue doc = json_parse(os.str());
+  EXPECT_EQ(doc.req_string("s"), "a\"b\\c\nd\x01");
+  EXPECT_EQ(doc.find("i")->as_number(), 18446744073709551615.0);
+  EXPECT_EQ(doc.find("neg")->as_number(), -5.0);
+  EXPECT_EQ(doc.find("d")->as_number(), 1.5);
+  EXPECT_TRUE(doc.find("nan")->is_null());
+  EXPECT_EQ(doc.find("t")->as_bool(), true);
+  ASSERT_TRUE(doc.find("arr")->is_array());
+  EXPECT_EQ(doc.find("arr")->as_array().at(0).as_number(), 1.0);
+  EXPECT_EQ(doc.find("arr")->as_array().at(1).find("k")->as_number(), 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,41 +271,44 @@ TEST(StatsJson, RoundTripMatchesRun) {
 
   std::ostringstream os;
   write_run_stats_json(os, meta, r);
-  const Json doc = parse_json(os.str());
+  const JsonValue doc = json_parse(os.str());
 
-  EXPECT_EQ(doc.at("schema_version").num(), 1.0);
-  EXPECT_EQ(doc.at("meta").at("circuit").str(), "counter6");
-  EXPECT_EQ(doc.at("meta").at("threads").num(), 2.0);
-  EXPECT_EQ(doc.at("meta").at("ff_init").str(), "0");
-  EXPECT_EQ(doc.at("coverage").at("hard").num(),
+  EXPECT_EQ(doc.find("schema_version")->as_number(), 1.0);
+  const JsonValue& m = *doc.find("meta");
+  EXPECT_EQ(m.req_string("circuit"), "counter6");
+  EXPECT_EQ(m.find("threads")->as_number(), 2.0);
+  EXPECT_EQ(m.req_string("ff_init"), "0");
+  EXPECT_EQ(doc.find("coverage")->find("hard")->as_number(),
             static_cast<double>(r.cov.hard));
-  EXPECT_EQ(doc.at("coverage").at("total").num(),
+  EXPECT_EQ(doc.find("coverage")->find("total")->as_number(),
             static_cast<double>(r.cov.total));
   // Doubles are emitted at %.9g: compare to relative precision.
-  EXPECT_NEAR(doc.at("cpu_s").num(), r.cpu_s, 1e-8 * (1.0 + r.cpu_s));
-  ASSERT_TRUE(doc.at("engines").is_array());
-  ASSERT_EQ(doc.at("engines").arr().size(), r.stats.per_engine.size());
+  EXPECT_NEAR(doc.find("cpu_s")->as_number(), r.cpu_s,
+              1e-8 * (1.0 + r.cpu_s));
+  ASSERT_TRUE(doc.find("engines")->is_array());
+  const svc::JsonArray& engines = doc.find("engines")->as_array();
+  ASSERT_EQ(engines.size(), r.stats.per_engine.size());
 
   // Per-engine counters sum to the totals block, field by field.
-  const JsonObject& tot = doc.at("totals").at("counters").obj();
+  const JsonObject& tot = doc.find("totals")->find("counters")->as_object();
   for (const auto& [name, val] : tot) {
     double sum = 0;
-    for (const Json& e : doc.at("engines").arr()) {
-      sum += e.at("counters").at(name).num();
+    for (const JsonValue& e : engines) {
+      sum += e.find("counters")->find(name)->as_number();
     }
-    EXPECT_EQ(sum, val.num()) << name;
+    EXPECT_EQ(sum, val.as_number()) << name;
   }
 
   // The deterministic block repeats the shard-invariant counters.
-  const JsonObject& det = doc.at("deterministic").obj();
+  const JsonObject& det = doc.find("deterministic")->as_object();
   for (const auto& [name, val] : det) {
-    EXPECT_EQ(val.num(), tot.at(name).num()) << name;
+    EXPECT_EQ(val.as_number(), tot.at(name).as_number()) << name;
   }
 
 #if CFS_OBS_ENABLED
-  EXPECT_EQ(det.at("detections_hard").num(),
+  EXPECT_EQ(det.at("detections_hard").as_number(),
             static_cast<double>(r.cov.hard));
-  EXPECT_EQ(doc.at("totals").at("vectors_simulated").num(),
+  EXPECT_EQ(doc.find("totals")->find("vectors_simulated")->as_number(),
             static_cast<double>(48 * r.stats.per_engine.size()));
 #endif
 }

@@ -1,7 +1,8 @@
 // Resilience subsystem: checkpoint/resume bit-identity across engine
 // variants, shard counts, and the transition model; shard failure
-// containment under injected exceptions and stalls; memory-budget
-// multi-pass degradation; snapshot file integrity (CRC, version, shape).
+// containment under injected exceptions and stalls, alone and beside an
+// element budget; memory-budget multi-pass degradation; snapshot file
+// integrity (CRC, version, shape).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -557,6 +558,60 @@ TEST(Containment, StalledShardIsRequeuedAndResultUnchanged) {
   EXPECT_GE(r.shard_retries, 1u);
   EXPECT_EQ(r.digest(), clean.digest());
   EXPECT_EQ(r.status, clean.status);
+}
+
+// The service's shape: a budget and containment on one campaign.  A budget
+// overflow and an injected throw roll back to the same boundary snapshot,
+// and the retries must not disturb the passes or the result.
+TEST(Containment, RetryAndBudgetShareOneBoundary) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t = make_suite(c.inputs().size());
+
+  const CampaignResult unlimited =
+      run_campaign(c, u, t, Variant::V, variant_options(Variant::V, 1));
+  for (const unsigned threads : {1u, 2u}) {
+    // The suite is 64 vectors long, so vector 70 falls in pass 2.
+    FaultInjector inj;
+    inj.add(InjectionSpec{InjectionSpec::Action::Throw, 0, 5, 0, 1});
+    inj.add(InjectionSpec{InjectionSpec::Action::Throw, 0, 70, 0, 1});
+    CampaignOptions opt = variant_options(Variant::V, threads);
+    opt.sharded.csim.max_elements = unlimited.peak_elements / 3;
+    opt.sharded.resil.max_retries = 2;
+    opt.sharded.resil.injector = &inj;
+    const CampaignResult r = run_campaign(c, u, t, Variant::V, opt);
+
+    EXPECT_GT(r.passes, 1u) << threads << " threads";
+    EXPECT_EQ(inj.fired(), 2u) << threads << " threads";
+    EXPECT_EQ(r.digest(), unlimited.digest()) << threads << " threads";
+    EXPECT_EQ(r.status, unlimited.status) << threads << " threads";
+    EXPECT_EQ(r.shard_requeues, 0u) << threads << " threads";
+    if (threads == 1) {
+      EXPECT_EQ(r.shard_retries, 2u);
+    } else {
+      // Another shard's budget overflow in the same attempt can be the
+      // error reported, and then the rollback is the budget's.
+      EXPECT_LE(r.shard_retries, 2u);
+    }
+  }
+}
+
+TEST(Containment, StallPastRetryBudgetPropagates) {
+  const Circuit c = make_benchmark("s27");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t = make_suite(c.inputs().size(), 12, 0);
+
+  FaultInjector inj;
+  inj.add(InjectionSpec{InjectionSpec::Action::Stall, 0, 3, 200, 100});
+  CampaignOptions opt = variant_options(Variant::V, 2);
+  opt.sharded.resil.max_retries = 1;
+  opt.sharded.resil.deadline_ms = 50;
+  opt.sharded.resil.injector = &inj;
+  {
+    CampaignRunner runner(c, u, t, opt);
+    EXPECT_THROW((void)runner.run(), resil::ShardDeadlineExceeded);
+  }  // the runner's simulator joins both parked workers
+  EXPECT_EQ(inj.fired(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -215,11 +215,15 @@ TEST(SvcHandle, MalformedPayloadsComeBackAsStructuredErrors) {
   EXPECT_EQ(code_of("{\"op\":\"open\",\"session\":\"ok\",\"circuit\":\"c\","
                     "\"tests\":\"t\",\"threads\":65}"),
             "bad_request");
+  // 2^32 + 1 threads is out of range, not 1 thread after narrowing.
+  EXPECT_EQ(code_of("{\"op\":\"open\",\"session\":\"ok\",\"circuit\":\"c\","
+                    "\"tests\":\"t\",\"threads\":4294967297}"),
+            "bad_request");
 
   // Every one of those was counted, and the daemon still answers.
   const JsonValue stats = json_parse(s.handle("{\"op\":\"stats\"}"));
   ASSERT_TRUE(stats.find("ok")->as_bool());
-  EXPECT_GE(stats.find("svc")->req_u64("protocol_errors"), 8u);
+  EXPECT_GE(stats.find("svc")->req_u64("protocol_errors"), 9u);
   const JsonValue hello = json_parse(s.handle("{\"op\":\"hello\"}"));
   EXPECT_TRUE(hello.find("ok")->as_bool());
 }

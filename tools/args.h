@@ -3,9 +3,13 @@
 // unknown-option detection.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.h"
@@ -47,15 +51,25 @@ class Args {
     return def;
   }
 
-  std::uint64_t get_u64(std::string_view key, std::uint64_t def) const {
+  /// --key as an unsigned integer of type T, or `def` when absent or empty.
+  /// Decimal digits only -- no sign, space or suffix -- and the value must
+  /// fit T (the field it lands in); anything else throws, naming the
+  /// option.
+  template <typename T = std::uint64_t>
+  T get_uint(std::string_view key, std::type_identity_t<T> def) const {
+    static_assert(std::is_unsigned_v<T>);
     const std::string v = get(key);
     if (v.empty()) return def;
-    try {
-      return std::stoull(v);
-    } catch (...) {
-      throw Error("option --" + std::string(key) + " expects a number, got '" +
+    T out = 0;
+    const char* last = v.data() + v.size();
+    const auto [end, ec] = std::from_chars(v.data(), last, out);
+    if (ec != std::errc{} || end != last) {
+      throw Error("option --" + std::string(key) +
+                  " expects a whole number from 0 to " +
+                  std::to_string(std::numeric_limits<T>::max()) + ", got '" +
                   v + "'");
     }
+    return out;
   }
 
   /// Throw on options outside the allowed set (typo protection).

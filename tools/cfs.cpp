@@ -96,7 +96,7 @@ int cmd_macro(const Args& args) {
   args.allow_only({"cap"});
   const Circuit c = load_circuit(args.positional().at(0));
   MacroOptions opt;
-  opt.max_inputs = static_cast<unsigned>(args.get_u64("cap", 4));
+  opt.max_inputs = args.get_uint<unsigned>("cap", 4);
   const MacroExtraction ext = extract_macros(c, opt);
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const MacroFaultMap mm = map_faults_to_macros(c, ext, u);
@@ -131,8 +131,8 @@ int cmd_tgen(const Args& args) {
   const Circuit c = load_circuit(args.positional().at(0));
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   TgenOptions opt;
-  opt.max_vectors = args.get_u64("budget", 4096);
-  opt.seed = args.get_u64("seed", 7);
+  opt.max_vectors = args.get_uint("budget", 4096);
+  opt.seed = args.get_uint("seed", 7);
   opt.ff_init = args.has("reset0") ? Val::Zero : Val::X;
   Stopwatch sw;
   const TgenResult r = generate_tests(c, u, opt);
@@ -216,13 +216,14 @@ RebalancePolicy parse_rebalance(const Args& args) {
   } else if (spec == "auto") {
     rp.mode = RebalancePolicy::Mode::Auto;
   } else {
-    if (spec.empty() ||
-        spec.find_first_not_of("0123456789") != std::string::npos ||
-        spec == "0") {
+    // A zero period ("0", "00") would never fire.
+    const bool digits =
+        spec.find_first_not_of("0123456789") == std::string::npos;
+    rp.every = digits ? args.get_uint("rebalance", 0) : 0;
+    if (rp.every == 0) {
       throw Error("--rebalance must be off, auto, or a period N >= 1");
     }
     rp.mode = RebalancePolicy::Mode::Every;
-    rp.every = std::stoull(spec);
   }
   if (args.has("rebalance-threshold")) {
     const std::string t = args.get("rebalance-threshold");
@@ -262,18 +263,17 @@ int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
   copt.sharded.batch_width = batch;
   copt.sharded.rebalance = parse_rebalance(args);
   copt.sharded.csim.split_lists = engine == "csim-mv" || engine == "csim-v";
-  copt.sharded.csim.max_elements = args.get_u64("max-elements", 0);
-  copt.sharded.resil.max_retries =
-      static_cast<unsigned>(args.get_u64("retries", 0));
+  copt.sharded.csim.max_elements = args.get_uint("max-elements", 0);
+  copt.sharded.resil.max_retries = args.get_uint<unsigned>("retries", 0);
   copt.sharded.resil.deadline_ms =
-      static_cast<std::uint32_t>(args.get_u64("deadline-ms", 0));
+      args.get_uint<std::uint32_t>("deadline-ms", 0);
   copt.sharded.resil.backoff_ms =
-      static_cast<std::uint32_t>(args.get_u64("backoff-ms", 1));
+      args.get_uint<std::uint32_t>("backoff-ms", 1);
   copt.checkpoint_path = args.get("checkpoint");
-  copt.checkpoint_every = args.get_u64("checkpoint-every", 0);
+  copt.checkpoint_every = args.get_uint("checkpoint-every", 0);
   copt.resume_path = args.get("resume");
-  copt.halt_after = args.get_u64("halt-after", 0);
-  copt.sleep_ms = static_cast<std::uint32_t>(args.get_u64("sleep-ms", 0));
+  copt.halt_after = args.get_uint("halt-after", 0);
+  copt.sleep_ms = args.get_uint<std::uint32_t>("sleep-ms", 0);
 
   // Telemetry rides along: fail fast on unwritable paths (the files
   // themselves are created lazily, after work has been done).
@@ -284,7 +284,7 @@ int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
     copt.trace = &trace;
   }
   const std::string timeline_path = args.get("timeline");
-  obs::Timeline timeline(4096, args.get_u64("sample-every", 1));
+  obs::Timeline timeline(4096, args.get_uint("sample-every", 1));
   obs::ProgressMeter meter(tests.total_vectors());
   if (!timeline_path.empty()) {
     obs::ensure_writable(timeline_path, "timeline");
@@ -382,8 +382,7 @@ int cmd_sim(const Args& args) {
   const Circuit c = load_circuit(args.positional().at(0));
   const std::string engine = args.get("engine", "csim-mv");
   const Val ff_init = args.has("reset0") ? Val::Zero : Val::X;
-  const unsigned threads =
-      static_cast<unsigned>(args.get_u64("threads", 1));
+  const unsigned threads = args.get_uint<unsigned>("threads", 1);
   if (threads == 0) throw Error("--threads must be at least 1");
 
   // --batch=N picks the pattern-lane width of the packed good machine
@@ -395,7 +394,7 @@ int cmd_sim(const Args& args) {
   if (batch_spec == "auto") {
     batch = c.dffs().empty() ? 64u : 1u;
   } else {
-    const std::uint64_t n = args.get_u64("batch", 1);
+    const std::uint64_t n = args.get_uint("batch", 1);
     if (n == 0 || n > kMaxBatchLanes) {
       throw Error("--batch must be 1..256 (or auto)");
     }
@@ -414,8 +413,8 @@ int cmd_sim(const Args& args) {
     }
   } else {
     tests = TestSuite(PatternSet::random(c.inputs().size(),
-                                         args.get_u64("random", 256),
-                                         args.get_u64("seed", 1)));
+                                         args.get_uint("random", 256),
+                                         args.get_uint("seed", 1)));
   }
 
   const bool csim_engine = engine == "csim-mv" || engine == "csim-v" ||
@@ -467,7 +466,7 @@ int cmd_sim(const Args& args) {
     throw Error("--timeline/--progress support the csim engines only");
   }
   if (!stats_path.empty()) obs::ensure_writable(stats_path, "stats");
-  obs::Timeline timeline(4096, args.get_u64("sample-every", 1));
+  obs::Timeline timeline(4096, args.get_uint("sample-every", 1));
   obs::ProgressMeter meter(tests.total_vectors());
   obs::Timeline* tl = nullptr;
   if (!timeline_path.empty()) {
@@ -494,8 +493,8 @@ int cmd_sim(const Args& args) {
   } else if (args.has("sample")) {
     const FaultUniverse full = FaultUniverse::all_stuck_at(c);
     const SubUniverse sub = restrict_universe(
-        full, sample_faults(full, args.get_u64("sample", 1000),
-                            args.get_u64("seed", 1) + 1));
+        full, sample_faults(full, args.get_uint("sample", 1000),
+                            args.get_uint("seed", 1) + 1));
     r = run_csim(c, sub.universe, tests, CsimVariant::V, ff_init, true,
                  threads, tr, batch, tl, rpol);
     r.sim_name += " (sampled " + std::to_string(sub.universe.size()) + "/" +
@@ -603,7 +602,7 @@ int cmd_sim(const Args& args) {
     meta.engine = engine;
     meta.mode = args.has("transition") ? "transition" : "stuck-at";
     meta.threads = threads;
-    meta.seed = args.get_u64("seed", 1);
+    meta.seed = args.get_uint("seed", 1);
     meta.vectors = tests.total_vectors();
     meta.sequences = tests.num_sequences();
     meta.ff_init = ff_init == Val::Zero ? "0" : "X";
@@ -671,21 +670,21 @@ int cmd_connect(const Args& args) {
     tests = TestSuite::load(args.get("tests"));
   } else {
     tests = TestSuite(PatternSet::random(c.inputs().size(),
-                                         args.get_u64("random", 256),
-                                         args.get_u64("seed", 1)));
+                                         args.get_uint("random", 256),
+                                         args.get_uint("seed", 1)));
   }
   std::string req = "{\"op\":\"open\",\"session\":\"" + esc + "\"";
   req += ",\"circuit\":\"" + svc::json_escape(circuit_text) + "\"";
   req += ",\"tests\":\"" + svc::json_escape(tests.to_text()) + "\"";
   req += ",\"mode\":\"" + svc::json_escape(args.get("mode", "sa")) + "\"";
-  req += ",\"threads\":" + std::to_string(args.get_u64("threads", 1));
-  req += ",\"batch\":" + std::to_string(args.get_u64("batch", 1));
+  req += ",\"threads\":" + std::to_string(args.get_uint("threads", 1));
+  req += ",\"batch\":" + std::to_string(args.get_uint("batch", 1));
   if (args.has("elements")) {
-    req += ",\"elements\":" + std::to_string(args.get_u64("elements", 0));
+    req += ",\"elements\":" + std::to_string(args.get_uint("elements", 0));
   }
   if (args.has("reset0")) req += ",\"reset0\":true";
   if (args.has("wait-ms")) {
-    req += ",\"wait_ms\":" + std::to_string(args.get_u64("wait-ms", 0));
+    req += ",\"wait_ms\":" + std::to_string(args.get_uint("wait-ms", 0));
   }
   req += "}";
   svc::JsonValue resp = cli.call(req);

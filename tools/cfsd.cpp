@@ -48,7 +48,7 @@ int usage() {
       "  --checkpoint-every=N   checkpoint stride in vectors\n"
       "  --sample-every=N       update-stream sampling stride\n"
       "  --retries=N            shard containment retries per vector\n"
-      "  --stall-ms=N           per-round shard watchdog deadline\n"
+      "  --stall-ms=N           per-attempt shard watchdog deadline\n"
       "  --inject=SPEC          chaos injection (see cfs sim --inject)\n"
       "  --trace=FILE           chrome://tracing file with session tracks\n");
   return 2;
@@ -69,22 +69,20 @@ int main(int argc, char** argv) {
 
     svc::ServiceConfig cfg;
     cfg.state_dir = state_dir;
-    cfg.global_elements = args.get_u64("mem-budget", cfg.global_elements);
+    cfg.global_elements = args.get_uint("mem-budget", cfg.global_elements);
     cfg.default_session_elements =
-        args.get_u64("session-elements", cfg.default_session_elements);
+        args.get_uint("session-elements", cfg.default_session_elements);
     cfg.max_sessions =
-        static_cast<unsigned>(args.get_u64("max-sessions", cfg.max_sessions));
-    cfg.queue_depth =
-        static_cast<unsigned>(args.get_u64("queue-depth", cfg.queue_depth));
-    cfg.queue_deadline_ms = static_cast<std::uint32_t>(
-        args.get_u64("queue-deadline-ms", cfg.queue_deadline_ms));
+        args.get_uint<unsigned>("max-sessions", cfg.max_sessions);
+    cfg.queue_depth = args.get_uint<unsigned>("queue-depth", cfg.queue_depth);
+    cfg.queue_deadline_ms = args.get_uint<std::uint32_t>(
+        "queue-deadline-ms", cfg.queue_deadline_ms);
     cfg.checkpoint_every =
-        args.get_u64("checkpoint-every", cfg.checkpoint_every);
-    cfg.sample_every = args.get_u64("sample-every", cfg.sample_every);
-    cfg.shard_retries =
-        static_cast<unsigned>(args.get_u64("retries", cfg.shard_retries));
-    cfg.session_stall_ms = static_cast<std::uint32_t>(
-        args.get_u64("stall-ms", cfg.session_stall_ms));
+        args.get_uint("checkpoint-every", cfg.checkpoint_every);
+    cfg.sample_every = args.get_uint("sample-every", cfg.sample_every);
+    cfg.shard_retries = args.get_uint<unsigned>("retries", cfg.shard_retries);
+    cfg.session_stall_ms =
+        args.get_uint<std::uint32_t>("stall-ms", cfg.session_stall_ms);
 
     resil::FaultInjector injector;
     if (args.has("inject")) {
