@@ -931,6 +931,7 @@ void ConcurrentSim::record_detect(std::uint32_t fault, Val good, Val faulty,
   if (is_binary(faulty) && faulty != good) {
     if (status_[fault] != Detect::Hard) {
       status_[fault] = Detect::Hard;
+      status_log_.push_back({log_vector_, fault, Detect::Hard});
       ++newly;
       CFS_COUNT(counters_, DetectionsHard);
       if (opt_.drop_detected) {
@@ -945,6 +946,7 @@ void ConcurrentSim::record_detect(std::uint32_t fault, Val good, Val faulty,
     }
   } else if (faulty == Val::X && status_[fault] == Detect::None) {
     status_[fault] = Detect::Potential;
+    status_log_.push_back({log_vector_, fault, Detect::Potential});
     CFS_COUNT(counters_, DetectionsPotential);
   }
 }
@@ -1134,6 +1136,7 @@ std::size_t ConcurrentSim::apply_vector(std::span<const Val> pi_vals) {
     pass1_ = true;
   }
   good_oracle_ = nullptr;  // armed for one vector only
+  ++log_vector_;
   return newly;
 }
 

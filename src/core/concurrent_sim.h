@@ -78,6 +78,14 @@
 
 namespace cfs {
 
+/// One detection-status change an engine made: `fault` reached `status`
+/// during the `vector`-th apply_vector() since its log was last cleared.
+struct StatusChange {
+  std::uint32_t vector;
+  std::uint32_t fault;
+  Detect status;
+};
+
 class ConcurrentSim {
  public:
   /// Plain mode: simulate universe `u` on circuit `c`.  In macro mode pass
@@ -216,6 +224,19 @@ class ConcurrentSim {
   // -- results ------------------------------------------------------------
   const std::vector<Detect>& status() const { return status_; }
   Coverage coverage() const { return summarize(status_); }
+
+  /// Every status change detection made since clear_status_log(), in the
+  /// order it happened, stamped with its vector's ordinal in that span (0 =
+  /// the first apply_vector() after the clear).  A fault that turns
+  /// Potential and then Hard within one vector logs both.  Drivers clear
+  /// the log when a segment starts, so it never outgrows one segment;
+  /// status set wholesale (reset, restore_run_state, adopt_status) is not
+  /// logged.
+  const std::vector<StatusChange>& status_log() const { return status_log_; }
+  void clear_status_log() {
+    status_log_.clear();
+    log_vector_ = 0;
+  }
 
   /// Observer invoked on every output mismatch during sampling (including
   /// repeats for already-detected faults when dropping is off): arguments
@@ -559,6 +580,11 @@ class ConcurrentSim {
   obs::HistogramSet hists_;
   obs::LevelProfile levels_;  // sized to the circuit's level count
   DetectionObserver observer_;
+  // record_detect's changes since clear_status_log(), and the ordinal of
+  // the vector being applied in that span.  Kept behind the hot members:
+  // only a status change touches them.
+  std::vector<StatusChange> status_log_;
+  std::uint32_t log_vector_ = 0;
 };
 
 }  // namespace cfs

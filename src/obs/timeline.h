@@ -41,7 +41,7 @@ class JsonWriter;
 struct ShardSample {
   std::uint64_t live_faults = 0;    ///< owned faults not yet hard-detected
   std::uint64_t live_elements = 0;  ///< shard pool live fault-list elements
-  std::uint64_t latency_us = 0;     ///< this shard's apply_vector wall time
+  std::uint64_t latency_us = 0;     ///< this shard's wall time for the vector
 };
 
 struct TimelineSample {
@@ -59,7 +59,7 @@ struct TimelineSample {
   std::uint64_t rebalances = 0;     ///< cumulative dynamic repartitions
   // Wall section: never deterministic.
   std::uint64_t t_us = 0;        ///< since Timeline construction
-  std::uint64_t latency_us = 0;  ///< driver wall time of this vector
+  std::uint64_t latency_us = 0;  ///< the slowest shard's wall time for it
   // Per-shard attribution (size = driver shard count).
   std::vector<ShardSample> shards;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "util/error.h"
@@ -150,22 +151,48 @@ void CampaignRunner::suspend_half() {
   if (sim_) sim_->set_suspended(suspended_);
 }
 
-void CampaignRunner::absorb_status(std::uint64_t suite_pos) {
-  const std::vector<Detect>& st = sim_->status();
+void CampaignRunner::absorb_segment(std::uint64_t suite_pos) {
+  const std::span<const StatusChange> changes = sim_->status_changes();
   const bool drop = opt_.sharded.csim.drop_detected;
-  for (std::size_t id = 0; id < st.size(); ++id) {
-    if (st[id] == status_[id]) continue;
-    if (st[id] == Detect::Hard) {
-      status_[id] = Detect::Hard;
-      detected_at_[id] = suite_pos;
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    const StatusChange& c = changes[i];
+    // Only a fault's status at the end of a vector counts: one that turns
+    // Potential and then Hard within a vector is a hard detection alone.
+    if (i + 1 < changes.size() && changes[i + 1].vector == c.vector &&
+        changes[i + 1].fault == c.fault) {
+      continue;
+    }
+    if (c.status == Detect::Hard && status_[c.fault] != Detect::Hard) {
+      status_[c.fault] = Detect::Hard;
+      detected_at_[c.fault] = suite_pos + c.vector;
       ++det_hard_;
       if (drop) ++dropped_;
-    } else if (st[id] == Detect::Potential &&
-               status_[id] == Detect::None) {
-      status_[id] = Detect::Potential;
+    } else if (c.status == Detect::Potential &&
+               status_[c.fault] == Detect::None) {
+      status_[c.fault] = Detect::Potential;
       ++det_potential_;
     }
   }
+}
+
+std::uint64_t CampaignRunner::segment_length(std::uint64_t left) const {
+  std::uint64_t n = left;
+  if (!opt_.checkpoint_path.empty() && opt_.checkpoint_every != 0) {
+    n = std::min(n, opt_.checkpoint_every - pos_ % opt_.checkpoint_every);
+  }
+  if (opt_.halt_after != 0) {
+    // A campaign resumed at or past its halt runs one vector, then halts.
+    n = opt_.halt_after > pos_ ? std::min(n, opt_.halt_after - pos_) : 1;
+  }
+  if (opt_.timeline != nullptr) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (opt_.timeline->want(pos_ + i)) {
+        n = i + 1;
+        break;
+      }
+    }
+  }
+  return n;
 }
 
 bool CampaignRunner::pass_remainder_exists() const {
@@ -234,9 +261,9 @@ CampaignResult CampaignRunner::run() {
   const ResilOptions& ro = opt_.sharded.resil;
   const auto& seqs = suite_.sequences();
 
-  // Shard failure containment: whether to retry a vector that has already
-  // been retried `failures` times; a retry sleeps an exponential backoff
-  // first.
+  // Shard failure containment: whether to retry a segment that has
+  // already been retried `failures` times; a retry sleeps an exponential
+  // backoff first.
   const auto contain = [&](unsigned& failures) {
     if (failures >= ro.max_retries) return false;
     ++failures;
@@ -292,6 +319,11 @@ CampaignResult CampaignRunner::run() {
       }
       resumed_mid_sequence_ = false;
       while (vec_ < sq.size()) {
+        // One segment: the shards stream up to the next place the campaign
+        // must act (a checkpoint, the halt, a timeline sample, the
+        // sequence end).
+        const std::uint64_t n = segment_length(sq.size() - vec_);
+        const auto segment = std::span(sq.vectors()).subspan(vec_, n);
         // Boundary snapshot: what a budget overflow or a failed shard
         // rolls back to.  Only paid when a budget or containment is on.
         RunStateSnapshot boundary;
@@ -300,7 +332,7 @@ CampaignResult CampaignRunner::run() {
         }
         for (unsigned failures = 0;;) {
           try {
-            sim_->apply_vector(sq[vec_]);
+            sim_->apply_segment(segment);
             break;
           } catch (const PoolBudgetError&) {
             if (!budgeted) throw;
@@ -312,16 +344,16 @@ CampaignResult CampaignRunner::run() {
           } catch (...) {
             if (!contain(failures)) throw;
           }
-          // Roll every shard back to the vector boundary and retry it.
+          // Roll every shard back to the segment boundary and replay it.
           restore_with_budget(boundary);
         }
-        absorb_status(seq_base + vec_);
-        ++vec_;
-        ++pos_;
-        ++vectors_run_;
+        absorb_segment(seq_base + vec_);
+        vec_ += n;
+        pos_ += n;
+        vectors_run_ += n;
         if (opt_.sleep_ms != 0) {
           std::this_thread::sleep_for(
-              std::chrono::milliseconds(opt_.sleep_ms));
+              std::chrono::milliseconds(std::uint64_t{opt_.sleep_ms} * n));
         }
         if (!opt_.checkpoint_path.empty() && opt_.checkpoint_every != 0 &&
             pos_ % opt_.checkpoint_every == 0) {

@@ -3,8 +3,12 @@
 //
 // A *campaign* is one suite of test sequences simulated against one fault
 // universe.  CampaignRunner drives a ShardedSim (1 shard == plain
-// ConcurrentSim) vector by vector and adds three robustness layers the raw
-// drivers do not have:
+// ConcurrentSim) one *segment* at a time -- the vectors up to the next
+// place the campaign must act: a checkpoint, the halt, a timeline sample,
+// or the sequence end -- each streamed by every shard in one fork-join
+// (ShardedSim::apply_segment).  Detections come from the shards' status
+// logs, stamped with the vector at which each happened.  It adds three
+// robustness layers the raw drivers do not have:
 //
 //  1. Checkpointing: every N vectors the campaign state -- master status,
 //     detection positions, deterministic counters, pattern cursor, engine
@@ -15,17 +19,19 @@
 //
 //  2. Memory-budget degradation: with CsimOptions::max_elements set, a pool
 //     overflow (PoolBudgetError) anywhere suspends the upper half of the
-//     still-active undetected faults, restores the pre-vector boundary, and
-//     retries; faults parked this way are finished by additional passes over
-//     the same vector sequence.  The detected set is identical to the
-//     unlimited run's -- only wall time and pass count grow.
+//     still-active undetected faults, restores the segment's boundary, and
+//     replays the segment; faults parked this way are finished by
+//     additional passes over the same vector sequence.  The detected set
+//     is identical to the unlimited run's -- only wall time and pass count
+//     grow.
 //
 //  3. Shard failure containment (ShardedOptions::resil,
 //     resil/containment.h): a shard's exception, or a shard still running at
 //     the watchdog deadline (ShardDeadlineExceeded), restores every shard
-//     from the same pre-vector boundary and retries the vector, with
+//     from the same segment boundary and replays the segment, with
 //     exponential backoff, up to max_retries times.  The campaign counts
-//     the retries, and the requeues of hung shards among them.
+//     the failed attempts it retried, and the requeues of hung shards
+//     among them.
 //
 // Deterministic counters (DetectionsHard/DetectionsPotential/FaultsDropped)
 // are recomputed here from master-status transitions rather than read from
@@ -73,15 +79,18 @@ struct CampaignOptions {
   unsigned checkpoint_retries = 3;
   std::uint32_t checkpoint_backoff_ms = 1;
 
-  /// Cooperative stop flag (not owned, may be null).  Checked after every
-  /// vector; when it reads true the campaign writes a final checkpoint (if a
-  /// path is set) and returns with halted+stopped set -- the graceful-drain
-  /// primitive the service layer builds SIGTERM handling on.
+  /// Cooperative stop flag (not owned, may be null).  Checked at every
+  /// segment end; when it reads true the campaign writes a final checkpoint
+  /// (if a path is set) and returns with halted+stopped set -- the
+  /// graceful-drain primitive the service layer builds SIGTERM handling on.
+  /// A stop lands at most a segment later: with a timeline sampling every
+  /// N vectors, within N vectors.
   const std::atomic<bool>* stop = nullptr;
 
   /// Optional telemetry, both owned by the caller and outliving run().
-  /// The timeline samples every vector (vec coordinate = suite position,
-  /// continuing seamlessly across a resume) and, when streaming, is
+  /// The timeline samples every vector it wants (vec coordinate = suite
+  /// position, continuing seamlessly across a resume; each wanted vector
+  /// ends a segment) and, when streaming, is
   /// flushed exactly at checkpoint boundaries: a kill -9 leaves a JSONL
   /// stream whose last sample precedes the checkpoint the campaign
   /// resumes from, so resume appends a contiguous continuation.  The
@@ -93,8 +102,9 @@ struct CampaignOptions {
   /// Test hooks.  halt_after stops the campaign after N cumulative vectors
   /// (0 = run to completion) -- with a checkpoint path set, a final
   /// checkpoint is written first, so halt+resume mimics kill+resume
-  /// in-process.  sleep_ms stalls after every vector (paces the campaign so
-  /// an external kill lands mid-run deterministically enough to test).
+  /// in-process.  sleep_ms stalls for that long per vector, once after
+  /// each segment (paces the campaign so an external kill lands mid-run
+  /// deterministically enough to test).
   std::uint64_t halt_after = 0;
   std::uint32_t sleep_ms = 0;
 };
@@ -122,7 +132,7 @@ struct CampaignResult {
   std::uint64_t checkpoint_write_retries = 0;
   bool halted = false;                ///< stopped by halt_after or stop flag
   bool stopped = false;               ///< stopped by the cooperative flag
-  std::uint64_t shard_retries = 0;    ///< vector retries after a failure
+  std::uint64_t shard_retries = 0;    ///< failed segment attempts retried
   std::uint64_t shard_requeues = 0;   ///< retries after a hung shard
   std::size_t peak_elements = 0;      ///< summed shard pool high-water
   /// Dynamic-rebalancing activity (this process only -- a resumed campaign
@@ -168,7 +178,12 @@ class CampaignRunner {
   void reset_with_budget();
   /// Park the upper half (by id) of the still-active undetected faults.
   void suspend_half();
-  void absorb_status(std::uint64_t suite_pos);
+  /// Fold the last segment's status changes into the master state;
+  /// `suite_pos` is the segment's first vector's suite position.
+  void absorb_segment(std::uint64_t suite_pos);
+  /// Vectors in the next segment, out of the `left` the sequence still
+  /// holds: it ends at the first vector after which the campaign must act.
+  std::uint64_t segment_length(std::uint64_t left) const;
   void write_checkpoint();
   CampaignCheckpoint make_checkpoint() const;
   bool pass_remainder_exists() const;

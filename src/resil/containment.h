@@ -222,8 +222,9 @@ class FaultInjector {
 /// The campaign (resil/campaign.h) reads max_retries and backoff_ms;
 /// ShardedSim reads deadline_ms and injector.
 struct ResilOptions {
-  /// Times one vector is retried from its boundary before the failure
-  /// propagates.  0 = no containment: any shard exception aborts the
+  /// Times one segment is retried from its boundary before the failure
+  /// propagates (a failed attempt counts once, however many shards
+  /// failed in it).  0 = no containment: any shard exception aborts the
   /// campaign.
   unsigned max_retries = 0;
   /// Watchdog deadline per vector attempt (ms).  A shard still running when
@@ -232,7 +233,7 @@ struct ResilOptions {
   /// and apply_vector throws ShardDeadlineExceeded.  0 = no watchdog.
   std::uint32_t deadline_ms = 0;
   /// Base backoff before a retry (ms); doubles with every failure of the
-  /// same vector.
+  /// same segment.
   std::uint32_t backoff_ms = 1;
   /// Test-only sabotage hook; not owned, may be null.
   FaultInjector* injector = nullptr;

@@ -6,6 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <tuple>
 
 #include "patterns/batch_plan.h"
 #include "sim/batch_good_sim.h"
@@ -107,6 +108,7 @@ ShardedSim::ShardedSim(std::shared_ptr<const SimModel> model,
   const unsigned k = part_.num_shards();
   engines_.resize(k);
   shard_obs_.resize(k);
+  parked_peak_.assign(k, 0);
   // Shard construction includes the initial reset (a full good-machine
   // sweep plus fault activation), so build the engines in parallel too.
   pool_.parallel_for(k, [&](std::size_t s) {
@@ -160,44 +162,102 @@ void ShardedSim::reset(Val ff_init, bool clear_status) {
   merged_dirty_ = true;
 }
 
+std::size_t ShardedSim::apply_segment(
+    std::span<const std::vector<Val>> vectors) {
+  const std::vector<std::span<const Val>> pis(vectors.begin(), vectors.end());
+  return apply_vectors(pis);
+}
+
 std::size_t ShardedSim::apply_vector(std::span<const Val> pi_vals) {
+  return apply_vectors({&pi_vals, 1});
+}
+
+std::size_t ShardedSim::apply_vectors(
+    std::span<const std::span<const Val>> vectors) {
+  for (auto& e : engines_) e->clear_status_log();
+  changes_.clear();
+  const std::uint64_t start = vectors_applied_;
+  std::size_t newly = 0;
+  try {
+    if (observer_ || opt_.resil.deadline_ms > 0) {
+      // The observer's replay and the watchdog's deadline act per vector.
+      for (std::size_t i = 0; i < vectors.size(); ++i) {
+        newly += fork_vectors(vectors.subspan(i, 1));
+      }
+    } else {
+      newly = fork_vectors(vectors);
+    }
+  } catch (...) {
+    vectors_applied_ = start;
+    throw;
+  }
+  // Each log is in time order; (vector, fault, status) is a total order
+  // that keeps it, since a fault's status only rises within a vector.
+  for (const auto& e : engines_) {
+    const std::vector<StatusChange>& log = e->status_log();
+    changes_.insert(changes_.end(), log.begin(), log.end());
+  }
+  std::sort(changes_.begin(), changes_.end(),
+            [](const StatusChange& a, const StatusChange& b) {
+              return std::tie(a.vector, a.fault, a.status) <
+                     std::tie(b.vector, b.fault, b.status);
+            });
+  return newly;
+}
+
+std::size_t ShardedSim::fork_vectors(
+    std::span<const std::span<const Val>> vectors) {
   const std::size_t k = engines_.size();
-  const std::uint64_t vec_no = vec_base_ + vectors_applied_;
-  const bool sampling = timeline_ != nullptr && timeline_->want(vec_no);
-  const std::uint64_t started_us = sampling ? timeline_->now_us() : 0;
+  const std::size_t n = vectors.size();
+  if (n == 0) return 0;
+  const std::uint64_t first = vectors_applied_;
+  const std::uint64_t last_no = vec_base_ + first + n - 1;
+  const bool sampling = timeline_ != nullptr && timeline_->want(last_no);
   std::vector<std::size_t> newly(k, 0);
-  // A throw leaves the shards mid-vector; the caller restores a boundary.
+  // A throw leaves the shards mid-segment; the caller restores a boundary.
   merged_dirty_ = true;
   // A pool task cannot be abandoned, so a watchdog runs each shard on its
   // own thread.  Observed runs keep the pool: an abandoned worker could
   // still be appending to its observation buffer when the retry records
   // into the same slot.
   if (opt_.resil.deadline_ms > 0 && !observer_) {
-    apply_watched(pi_vals, newly, sampling);
+    apply_watched(vectors[0], newly, sampling);
   } else {
     pool_.parallel_for(k, [&](std::size_t s) {
       shard_obs_[s].clear();
-      const bool timing = trace_ != nullptr || sampling;
-      const std::uint64_t t0 =
-          timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
-      if (opt_.resil.injector != nullptr) {
-        opt_.resil.injector->maybe_fire(static_cast<unsigned>(s),
-                                        vectors_applied_);
+      for (std::size_t i = 0; i < n; ++i) {
+        newly[s] += shard_step(s, vectors[i], first + i, /*slice=*/true,
+                               sampling && i + 1 == n);
       }
-      newly[s] = engines_[s]->apply_vector(pi_vals);
-      const std::uint64_t t1 =
-          timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
-      if (sampling) shard_latency_us_[s] = t1 - t0;
-      trace_vector(s, t0, t1, newly[s]);
     });
   }
-  ++vectors_applied_;
+  vectors_applied_ += n;
   if (observer_) replay_observations();
-  if (sampling) record_sample(vec_no, started_us);
+  if (sampling) record_sample(last_no);
   maybe_rebalance();
   std::size_t total = 0;
-  for (std::size_t n : newly) total += n;  // shards are disjoint: exact sum
+  for (std::size_t v : newly) total += v;  // shards are disjoint: exact sum
   return total;
+}
+
+std::size_t ShardedSim::shard_step(std::size_t s, std::span<const Val> pis,
+                                   std::uint64_t vec, bool slice,
+                                   bool sample) {
+  const bool timing = (slice && trace_ != nullptr) || sample;
+  const auto now = [&] {
+    return trace_ != nullptr ? trace_->now_us() : timeline_->now_us();
+  };
+  const std::uint64_t t0 = timing ? now() : 0;
+  if (opt_.resil.injector != nullptr) {
+    opt_.resil.injector->maybe_fire(static_cast<unsigned>(s), vec);
+  }
+  const std::size_t newly = engines_[s]->apply_vector(pis);
+  if (timing) {
+    const std::uint64_t t1 = now();
+    if (sample) shard_latency_us_[s] = t1 - t0;
+    if (slice) trace_vector(s, t0, t1, newly);
+  }
+  return newly;
 }
 
 void ShardedSim::apply_watched(std::span<const Val> pi_vals,
@@ -224,6 +284,10 @@ void ShardedSim::apply_watched(std::span<const Val> pi_vals,
   w->pis.assign(pi_vals.begin(), pi_vals.end());
   w->slots.resize(k);
   const std::uint64_t t0 = trace_ != nullptr ? trace_->now_us() : 0;
+  // Each engine's high-water mark before its worker starts: a hung worker
+  // keeps running inside its engine, so that engine is never read again.
+  std::vector<std::size_t> peak(k);
+  for (std::size_t s = 0; s < k; ++s) peak[s] = engines_[s]->peak_elements();
   const auto launch = std::chrono::steady_clock::now();
   std::vector<std::thread> workers(k);
   for (std::size_t s = 0; s < k; ++s) {
@@ -269,6 +333,7 @@ void ShardedSim::apply_watched(std::span<const Val> pi_vals,
       // the destructor joins them.
       graveyard_.push_back(
           Abandoned{std::move(engines_[s]), std::move(workers[s])});
+      parked_peak_[s] = std::max(parked_peak_[s], peak[s]);
       hung.push_back(s);
       continue;
     }
@@ -316,8 +381,7 @@ void ShardedSim::run(const TestSuite& t, Val ff_init) {
   // Work that must act between vectors sends every segment through
   // apply_vector(); otherwise each shard streams a segment on its own.
   const bool per_vector =
-      observer_ || timeline_ != nullptr ||
-      opt_.resil.injector != nullptr || watched ||
+      observer_ || timeline_ != nullptr || watched ||
       (opt_.rebalance.mode != RebalancePolicy::Mode::Off &&
        engines_.size() > 1);
 
@@ -390,22 +454,29 @@ void ShardedSim::run(const TestSuite& t, Val ff_init) {
           });
     } else {
       // One fork-join per segment: each shard walks it with its own
-      // engine, arming only its own oracle.
+      // engine, arming only its own oracle.  Every shard applies every
+      // vector in the same order, so its own count is the driver's.
+      const std::uint64_t first = vectors_applied_;
       pool_.parallel_for(engines_.size(), [&](std::size_t s) {
         ConcurrentSim& sim = *engines_[s];
+        sim.clear_status_log();
+        std::uint64_t vec = first;
         walk_lanes(
             segment, t, frames, frame_words, trace_,
             static_cast<std::uint32_t>(s), [&] { sim.reset(ff_init); },
             [&](std::span<const Val> pis, const Word64* frame, unsigned lane) {
               if (frame != nullptr) sim.set_good_batch_oracle(frame, lane, W);
-              return sim.apply_vector(pis);
+              return shard_step(s, pis, vec++, /*slice=*/false,
+                                /*sample=*/false);
             });
       });
+      std::uint64_t segment_vectors = 0;
+      for (const BatchBand& band : segment) {
+        for (const BatchLane& lane : band.lanes) segment_vectors += lane.count;
+      }
+      vectors_applied_ += segment_vectors;
     }
   }
-  // Streamed vectors count too: the driver's vector number stays the
-  // suite position whichever branch ran.
-  if (!per_vector) vectors_applied_ += plan.total_vectors();
   if (bsim) batch_counters_.merge(bsim->counters());
   merged_dirty_ = true;
 }
@@ -472,12 +543,41 @@ void ShardedSim::restore_run_state(const RunStateSnapshot& s,
   merged_dirty_ = true;
 }
 
+std::vector<std::uint64_t> ShardedSim::cut_weights(
+    std::vector<std::uint64_t>& elems) const {
+  const std::size_t nf = part_.num_faults();
+  // Per-fault live-element counts are partition-invariant: each engine
+  // contributes the elements of the faults it owns, and a fault's list
+  // structure does not depend on which shard simulates it.
+  elems.assign(nf, 0);
+  for (const auto& e : engines_) e->accumulate_live_weights(elems);
+
+  // Cut on element counts, but give every live fault a floor of one unit:
+  // a currently element-free live fault still costs its share of future
+  // activations, and the floor keeps the fault *counts* from collapsing
+  // onto one shard when most weights are zero.
+  std::vector<std::uint64_t> weights = elems;
+  const std::vector<Detect>& master = status();
+  for (std::uint32_t id = 0; id < nf; ++id) {
+    const bool parked = !suspended_.empty() && suspended_[id];
+    if (master[id] != Detect::Hard && !parked) {
+      weights[id] = std::max<std::uint64_t>(weights[id], 1);
+    }
+  }
+  return weights;
+}
+
 double ShardedSim::imbalance_ratio() const {
+  std::vector<std::uint64_t> elems;
+  const std::vector<std::uint64_t> w = cut_weights(elems);
+  std::vector<std::uint64_t> load(engines_.size(), 0);
+  for (std::uint32_t id = 0; id < w.size(); ++id) {
+    load[part_.shard_of(id)] += w[id];
+  }
   std::uint64_t total = 0, heaviest = 0;
-  for (const auto& e : engines_) {
-    const std::uint64_t le = e->live_elements();
-    total += le;
-    heaviest = std::max(heaviest, le);
+  for (const std::uint64_t l : load) {
+    total += l;
+    heaviest = std::max(heaviest, l);
   }
   if (total == 0) return 1.0;
   return static_cast<double>(heaviest) * engines_.size() /
@@ -491,10 +591,13 @@ void ShardedSim::maybe_rebalance() {
     case RebalancePolicy::Mode::Off:
       return;
     case RebalancePolicy::Mode::Every:
-      if (rp.every == 0 || vectors_applied_ % rp.every != 0) return;
+      if (rp.every == 0 || vectors_applied_ < policy_anchor_vec_ + rp.every) {
+        return;
+      }
       break;
     case RebalancePolicy::Mode::Auto:
-      if (vectors_applied_ - last_rebalance_vec_ < rp.cooldown) return;
+      if (vectors_applied_ < policy_anchor_vec_ + rp.cooldown) return;
+      policy_anchor_vec_ = vectors_applied_;
       if (imbalance_ratio() < rp.threshold) return;
       break;
   }
@@ -514,24 +617,8 @@ std::size_t ShardedSim::rebalance_now() {
   // invalidates the merge.
   RunStateSnapshot snap = capture_run_state();
   const std::vector<Detect> master = status();
-
-  // Per-fault live-element counts are partition-invariant: each engine
-  // contributes the elements of the faults it owns, and a fault's list
-  // structure does not depend on which shard simulates it.
-  std::vector<std::uint64_t> elems(nf, 0);
-  for (const auto& e : engines_) e->accumulate_live_weights(elems);
-
-  // Cut on element counts, but give every live fault a floor of one unit:
-  // a currently element-free live fault still costs its share of future
-  // activations, and the floor keeps the fault *counts* from collapsing
-  // onto one shard when most weights are zero.
-  std::vector<std::uint64_t> weights = elems;
-  for (std::uint32_t id = 0; id < nf; ++id) {
-    const bool parked = !suspended_.empty() && suspended_[id];
-    if (master[id] != Detect::Hard && !parked) {
-      weights[id] = std::max<std::uint64_t>(weights[id], 1);
-    }
-  }
+  std::vector<std::uint64_t> elems;
+  const std::vector<std::uint64_t> weights = cut_weights(elems);
 
   std::vector<std::uint32_t> old_owner(nf);
   for (std::uint32_t id = 0; id < nf; ++id) old_owner[id] = part_.shard_of(id);
@@ -555,7 +642,7 @@ std::size_t ShardedSim::rebalance_now() {
   ++rebalances_;
   faults_migrated_ += moved;
   elements_migrated_ += moved_elems;
-  last_rebalance_vec_ = vectors_applied_;
+  policy_anchor_vec_ = vectors_applied_;
   CFS_COUNT(batch_counters_, Rebalances);
   CFS_COUNT_N(batch_counters_, FaultsMigrated, moved);
   CFS_COUNT_N(batch_counters_, ElementsMigrated, moved_elems);
@@ -581,6 +668,7 @@ void ShardedSim::adopt_status(const std::vector<Detect>& status) {
 
 void ShardedSim::reset_peak_elements() {
   for (auto& e : engines_) e->reset_peak_elements();
+  std::fill(parked_peak_.begin(), parked_peak_.end(), 0);
 }
 
 void ShardedSim::set_trace(obs::TraceEmitter* trace) {
@@ -605,8 +693,7 @@ void ShardedSim::set_timeline(obs::Timeline* timeline,
   }
 }
 
-void ShardedSim::record_sample(std::uint64_t vec_no,
-                               std::uint64_t started_us) {
+void ShardedSim::record_sample(std::uint64_t vec_no) {
   obs::TimelineSample& s = sample_scratch_;
   s.vec = vec_no;
   // Deterministic section: read the merged master status -- each fault's
@@ -628,13 +715,14 @@ void ShardedSim::record_sample(std::uint64_t vec_no,
   s.potential = potential;
   s.live_faults = st.size() - hard;
   // Work + wall sections: machine effort and timing, shard-dependent.
-  std::uint64_t dropped = 0, live_el = 0, trav = 0, gates = 0;
+  std::uint64_t dropped = 0, live_el = 0, trav = 0, gates = 0, slowest = 0;
   for (std::size_t i = 0; i < engines_.size(); ++i) {
     const ConcurrentSim& e = *engines_[i];
     dropped += e.faults_dropped();
     const std::uint64_t le = e.live_elements();
     s.shards[i].live_elements = le;
     s.shards[i].latency_us = shard_latency_us_[i];
+    slowest = std::max(slowest, shard_latency_us_[i]);
     live_el += le;
     trav += e.counters().get(obs::Counter::ElementsTraversed);
     gates += e.gates_processed();
@@ -645,7 +733,7 @@ void ShardedSim::record_sample(std::uint64_t vec_no,
   s.gates = gates;
   s.rebalances = rebalances_;
   s.t_us = timeline_->now_us();
-  s.latency_us = s.t_us >= started_us ? s.t_us - started_us : 0;
+  s.latency_us = slowest;
   timeline_->record(s);
   if (trace_ != nullptr) {
     // Counter tracks: area charts of the drain, alongside the slices.
@@ -702,13 +790,15 @@ SimStats ShardedSim::stats() const {
   st.faults_migrated = faults_migrated_;
   st.elements_migrated = elements_migrated_;
   st.per_engine.reserve(engines_.size());
-  for (const auto& e : engines_) {
+  for (std::size_t s = 0; s < engines_.size(); ++s) {
+    const ConcurrentSim* e = engines_[s].get();
     EngineStats es;
     es.gates_processed = e->gates_processed();
     es.elements_evaluated = e->elements_evaluated();
     es.vectors_simulated = e->vectors_simulated();
     es.faults_dropped = e->faults_dropped();
-    es.peak_elements = e->peak_elements();
+    // A slot whose engine was parked keeps that engine's high-water mark.
+    es.peak_elements = std::max(e->peak_elements(), parked_peak_[s]);
     es.state_bytes = e->state_bytes();
     es.counters = e->counters();
     es.timers = e->timers();

@@ -51,25 +51,30 @@
 
 namespace cfs {
 
-/// When and how to repartition fault ownership mid-run.  Rebalancing only
-/// moves faults between shards -- each fault's simulation is independent of
-/// its shard, so the merged status, detection order, campaign digest, and
-/// deterministic counters are bit-identical for every policy; only the
-/// work/wall telemetry changes.
+/// When and how to repartition fault ownership mid-run.  The driver
+/// consults the policy at the end of every fork-join: once per vector on
+/// the per-vector paths, once per segment where shards stream
+/// (apply_segment).  Rebalancing only moves faults between shards -- each
+/// fault's simulation is independent of its shard, so the merged status,
+/// detection order, campaign digest, and deterministic counters are
+/// bit-identical for every policy; only the work/wall telemetry changes.
 struct RebalancePolicy {
   enum class Mode {
     Off,   ///< the initial equal-count split for the whole run
-    Auto,  ///< repartition when live-element imbalance crosses `threshold`
+    Auto,  ///< repartition when the cut weight's imbalance crosses `threshold`
     Every  ///< repartition unconditionally every `every` vectors
   };
   Mode mode = Mode::Off;
-  /// Auto: minimum ratio of (heaviest shard's live elements) to the
-  /// balanced share before a repartition fires.  1.0 fires on any skew.
+  /// Auto: minimum imbalance_ratio() -- the heaviest shard's cut weight
+  /// over the balanced share -- before a repartition fires.  1.0 fires on
+  /// any skew.
   double threshold = 1.25;
-  /// Auto: vectors to wait after a rebalance before considering another
-  /// (a repartition costs roughly one capture + restore; let it pay off).
+  /// Auto: vectors between two weighings.  Weighing walks every fault list,
+  /// so the trigger is evaluated at the first check at least `cooldown`
+  /// vectors after the previous one (or after a repartition).
   std::uint64_t cooldown = 8;
-  /// Every: period in vectors (>= 1).
+  /// Every: repartition at the first check at least `every` (>= 1) vectors
+  /// after the last repartition.
   std::uint64_t every = 16;
 };
 
@@ -96,7 +101,7 @@ struct ShardedOptions {
   /// 0) plan at width 1.
   unsigned batch_width = 1;
   /// Dynamic shard rebalancing (no-op with a single shard).  At the end of
-  /// a vector, when the policy triggers, the driver captures the merged
+  /// a fork-join, when the policy triggers, the driver captures the merged
   /// boundary snapshot, re-cuts the site order at equal live-element
   /// weight, and restores every shard -- same machinery as a checkpoint
   /// restore, so the run continues bit-identically.
@@ -184,17 +189,33 @@ class ShardedSim {
   /// unless `clear_status`.
   void reset(Val ff_init = Val::X, bool clear_status = false);
 
-  /// Simulate one vector on all shards (fork-join) and return the number of
-  /// newly hard-detected faults across the universe.  If a detection
-  /// observer is set, the merged PO-mismatch observations are replayed in
-  /// (PO position, fault id) order -- exactly the order a single
-  /// ConcurrentSim emits them in.  A shard's exception is rethrown once
-  /// every shard has finished; with a watchdog (resil.deadline_ms > 0, no
-  /// observer) a shard still running at the deadline is abandoned and
-  /// rebuilt, and resil::ShardDeadlineExceeded is thrown.  A throw leaves
-  /// the vector uncounted and the shards mid-vector: restore_run_state()
-  /// the vector's boundary before going on (resil/campaign.h retries so).
+  /// Simulate a run of vectors on all shards and return the number of
+  /// newly hard-detected faults across the universe.  One fork-join: each
+  /// shard streams the whole segment on its own engine, firing the fault
+  /// injector before each vector and recording one `vector` trace slice
+  /// per vector.  Afterwards the timeline samples the segment's last
+  /// vector if it wants it (end segments at every vector the timeline
+  /// wants), and the rebalancing policy is consulted once.  With a
+  /// detection observer, or a watchdog (resil.deadline_ms > 0), the
+  /// segment steps one vector per fork-join instead: the observer's replay
+  /// and the deadline act per vector.  A shard's exception is rethrown once
+  /// every shard has finished; a shard still running at the deadline is
+  /// abandoned and rebuilt, and resil::ShardDeadlineExceeded is thrown.  A
+  /// throw leaves the driver's vector count at the segment start and the
+  /// shards anywhere inside it: restore_run_state() the segment's boundary
+  /// before going on (resil/campaign.h retries so).
+  std::size_t apply_segment(std::span<const std::vector<Val>> vectors);
+
+  /// The one-vector segment.  If a detection observer is set, the merged
+  /// PO-mismatch observations are replayed in (PO position, fault id)
+  /// order -- exactly the order a single ConcurrentSim emits them in.
   std::size_t apply_vector(std::span<const Val> pi_vals);
+
+  /// The status changes of the last apply_segment()/apply_vector(), in
+  /// (vector, fault) order, each stamped with its vector's index in the
+  /// segment.  A fault that turns Potential and then Hard within one
+  /// vector appears twice, Potential first.
+  std::span<const StatusChange> status_changes() const { return changes_; }
 
   /// Simulate a whole suite: one reset per sequence, vectors in order.
   /// The suite's BatchPlan (patterns/batch_plan.h, at batch_width) splits
@@ -202,12 +223,13 @@ class ShardedSim {
   /// precomputes into a slab each engine reads its lane from, or a maximal
   /// run of unpacked bands -- at width 1 the whole suite is one segment.
   /// Each shard streams a segment on its own, one fork-join per segment,
-  /// unless something must act between vectors (a detection observer, a
-  /// timeline, a fault injector, a watchdog deadline, or rebalancing with
-  /// more than one shard); then the segment goes vector by vector through
-  /// apply_vector().  Every engine makes the same apply_vector calls with
-  /// the same good frames either way, so the merged status, detection
-  /// order, and deterministic counters are the same.
+  /// firing the fault injector before each vector, unless something must
+  /// act between vectors (a detection observer, a timeline, a watchdog
+  /// deadline, or rebalancing with more than one shard); then the segment
+  /// goes vector by vector through apply_vector().  Every engine makes the
+  /// same apply_vector calls with the same good frames either way, so the
+  /// merged status, detection order, and deterministic counters are the
+  /// same.
   void run(const TestSuite& t, Val ff_init = Val::X);
 
   // -- results ------------------------------------------------------------
@@ -247,18 +269,21 @@ class ShardedSim {
   // -- dynamic rebalancing --------------------------------------------------
 
   /// Repartition fault ownership by live-element weight right now: capture
-  /// the merged boundary snapshot, re-cut the site order at equal
-  /// per-fault live-element weight (FaultPartition::partition_by_weight),
-  /// refresh every engine's ownership mask (suspension overlay reapplied),
-  /// and restore.  Must be called at a vector boundary.  No-op (returns 0)
-  /// with a single shard.  Returns the number of faults migrated.  The
-  /// policy calls this automatically; it is public for tests and explicit
-  /// schedules.
+  /// the merged boundary snapshot, re-cut the site order at equal per-fault
+  /// cut weight (imbalance_ratio() defines it; the cut is
+  /// FaultPartition::partition_by_weight), refresh every engine's
+  /// ownership mask (suspension overlay reapplied), and restore.  Must be
+  /// called at a vector boundary.  No-op (returns 0) with a single shard.
+  /// Returns the number of faults migrated.  The policy calls this
+  /// automatically; it is public for tests and explicit schedules.
   std::size_t rebalance_now();
 
-  /// Live-element imbalance across shards right now: heaviest shard over
-  /// the balanced share (1.0 = even, num_shards() = one shard carries
-  /// everything).  The quantity RebalancePolicy::threshold tests.
+  /// Imbalance of the weight rebalance_now() equalizes, under the current
+  /// partition: the heaviest shard's load over the balanced share (1.0 =
+  /// even, num_shards() = one shard carries everything).  A fault weighs
+  /// its live elements, and a live fault (not hard-detected, not
+  /// suspended) at least 1.  The quantity RebalancePolicy::threshold
+  /// tests; it walks every fault list.
   double imbalance_ratio() const;
 
   /// Rebalancing counters (see SimStats).
@@ -268,20 +293,22 @@ class ShardedSim {
 
   // -- telemetry -----------------------------------------------------------
   /// Attach a Chrome-trace emitter (obs/trace.h): one track per shard
-  /// records a slice per vector (apply_vector) or, where run() streams,
-  /// per plan lane, named after the lane's sequence; instant markers flag
-  /// fault detections, and a driver track records the merge.  Pass nullptr
-  /// to detach.  The emitter must outlive the runs it observes.
+  /// records a slice per vector (apply_segment, apply_vector) or, where
+  /// run() streams, per plan lane, named after the lane's sequence;
+  /// instant markers flag fault detections, and a driver track records the
+  /// merge.  Pass nullptr to detach.  The emitter must outlive the runs it
+  /// observes.
   void set_trace(obs::TraceEmitter* trace);
 
   /// Attach a time-series sampler (obs/timeline.h): every wanted vector
-  /// records one sample -- merged detections, per-shard live-fault weight
-  /// and apply_vector latency, pool population, counter totals.  The
-  /// timeline's shard width is fixed here.  `vec_base` offsets the sample
-  /// vector coordinate (a resumed campaign continues its suite position).
-  /// Sampling sends run() vector by vector through apply_vector(), so
-  /// every vector is a sample point.  Pass nullptr to detach.  The timeline
-  /// must outlive the runs it observes.
+  /// that ends a segment records one sample -- merged detections,
+  /// per-shard live-fault weight and that vector's apply latency, pool
+  /// population, counter totals.  The timeline's shard width is fixed
+  /// here.  `vec_base` offsets the sample vector coordinate (a resumed
+  /// campaign continues its suite position).  Sampling sends run() vector
+  /// by vector through apply_vector(), so every vector is a sample point.
+  /// Pass nullptr to detach.  The timeline must outlive the runs it
+  /// observes.
   void set_timeline(obs::Timeline* timeline, std::uint64_t vec_base = 0);
   obs::Timeline* timeline() const { return timeline_; }
 
@@ -305,8 +332,20 @@ class ShardedSim {
   /// Build (or rebuild, for a hung shard) shard `s`'s engine with the
   /// current suspension overlay.
   std::unique_ptr<ConcurrentSim> make_shard_engine(unsigned s) const;
-  /// apply_vector's watchdog fork: one thread per shard, a deadline, and
-  /// the hung shards parked in graveyard_ and rebuilt.  Fills `newly`.
+  /// apply_segment() and apply_vector(): clear the engines' status logs,
+  /// run the segment (per vector when observed or watched), collect the
+  /// logs into changes_.
+  std::size_t apply_vectors(std::span<const std::span<const Val>> vectors);
+  /// One fork-join over `vectors`, then the count, the observer replay,
+  /// the sample and the policy check.  A watchdog fork takes one vector.
+  std::size_t fork_vectors(std::span<const std::span<const Val>> vectors);
+  /// Shard `s`'s turn at driver vector `vec`: the injector's hook, then its
+  /// engine.  `slice` records the `vector` trace slice; `sample` notes the
+  /// shard's latency for the timeline.
+  std::size_t shard_step(std::size_t s, std::span<const Val> pis,
+                         std::uint64_t vec, bool slice, bool sample);
+  /// The watchdog fork: one thread per shard, a deadline, and the hung
+  /// shards parked in graveyard_ and rebuilt.  Fills `newly`.
   void apply_watched(std::span<const Val> pi_vals,
                      std::vector<std::size_t>& newly, bool sampling);
   /// Shard `s`'s `vector` slice on its trace track, [t0, t1], plus an
@@ -315,10 +354,14 @@ class ShardedSim {
                     std::size_t newly) const;
   /// Assemble and record one timeline sample for the vector that just
   /// completed (driver thread; merged status is the deterministic source).
-  void record_sample(std::uint64_t vec_no, std::uint64_t started_us);
-  /// End-of-vector policy check: rebalance_now() when the configured
+  void record_sample(std::uint64_t vec_no);
+  /// End-of-fork policy check: rebalance_now() when the configured
   /// trigger (auto threshold + cooldown, or every-N) fires.
   void maybe_rebalance();
+  /// The per-fault weight the rebalancer cuts on (see imbalance_ratio());
+  /// `elems` receives the live-element counts alone.
+  std::vector<std::uint64_t> cut_weights(
+      std::vector<std::uint64_t>& elems) const;
 
   std::shared_ptr<const SimModel> model_;
   ShardedOptions opt_;
@@ -331,11 +374,14 @@ class ShardedSim {
   // Driver-level vector counter: the `vector` coordinate injection specs
   // address, and the campaign's notion of progress.
   std::uint64_t vectors_applied_ = 0;
-  // Dynamic-rebalancing counters and the auto policy's cooldown anchor.
+  // Dynamic-rebalancing counters, and the driver vector count at the last
+  // repartition or auto weighing (both policies wait from here).
   std::uint64_t rebalances_ = 0;
   std::uint64_t faults_migrated_ = 0;
   std::uint64_t elements_migrated_ = 0;
-  std::uint64_t last_rebalance_vec_ = 0;
+  std::uint64_t policy_anchor_vec_ = 0;
+  // The last segment's merged status changes (status_changes()).
+  std::vector<StatusChange> changes_;
   // A hung shard's abandoned worker and engine: the thread still runs (or
   // sleeps) inside the engine, so both stay alive, parked here, until the
   // destructor joins them.  A worker that never returns therefore blocks
@@ -345,6 +391,10 @@ class ShardedSim {
     std::thread worker;
   };
   std::vector<Abandoned> graveyard_;
+  // Per shard, the peak element count of the engines parked from that
+  // slot, noted before their last vector started (a parked worker may
+  // still be running, so its engine is never read again).
+  std::vector<std::size_t> parked_peak_;
 
   ConcurrentSim::DetectionObserver observer_;
   struct Observation {
@@ -357,8 +407,8 @@ class ShardedSim {
   obs::TraceEmitter* trace_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   std::uint64_t vec_base_ = 0;
-  // Per-shard apply_vector wall time of the last sampled vector, and a
-  // preallocated sample the driver refills (no allocation per sample).
+  // Per-shard wall time of the last sampled vector, and a preallocated
+  // sample the driver refills (no allocation per sample).
   std::vector<std::uint64_t> shard_latency_us_;
   obs::TimelineSample sample_scratch_;
   // Merge/replay happen in const accessors; the timers still record them.

@@ -803,8 +803,9 @@ std::string Service::op_cancel(const JsonValue& req) {
   std::shared_ptr<Session> s = it->second;
   const SessionState st = s->state.load();
   if (st == SessionState::Running) {
-    // Cooperative: the campaign stops at the next vector boundary, writes
-    // a final checkpoint, and the session lands in Halted (resumable).
+    // Cooperative: the campaign stops at its next segment end (at most
+    // sample_every vectors away), writes a final checkpoint, and the
+    // session lands in Halted (resumable).
     s->stop.store(true, std::memory_order_relaxed);
   } else if (st == SessionState::Queued) {
     queue_.remove(name);

@@ -97,8 +97,10 @@ struct ServiceConfig {
   std::uint32_t checkpoint_backoff_ms = 1;
 
   /// Shard failure containment for every session (resil/containment.h):
-  /// the campaign's per-vector retry budget and the per-attempt shard
-  /// watchdog deadline.  0 deadline = no watchdog.
+  /// the campaign's retry budget per segment (failed attempts, each
+  /// replaying the segment from its boundary) and the per-vector shard
+  /// watchdog deadline, which steps the session one vector at a time.
+  /// 0 deadline = no watchdog.
   unsigned shard_retries = 2;
   std::uint32_t session_stall_ms = 0;
 
@@ -159,7 +161,7 @@ class Service {
   /// found in it (crash recovery).  Throws cfs::Error if the directory
   /// cannot be created.
   explicit Service(ServiceConfig cfg);
-  /// Drains (stops sessions at the next vector boundary, joins workers).
+  /// Drains (stops sessions at their next segment end, joins workers).
   ~Service();
 
   Service(const Service&) = delete;
@@ -177,8 +179,9 @@ class Service {
   /// so the svc stats block sees every malformed frame.
   void note_protocol_error();
 
-  /// Stop admitting, stop running sessions at their next vector boundary
-  /// (each writes a final checkpoint -- they stay resumable), and join all
+  /// Stop admitting, stop running sessions at their next segment end, at
+  /// most sample_every vectors away (each writes a final checkpoint --
+  /// they stay resumable), and join all
   /// workers.  Idempotent; handle() keeps answering status/stats/watch
   /// during and after a drain, but open/cancel refuse with `draining`.
   void drain();

@@ -72,6 +72,27 @@ TEST(CliArgs, AllowOnlyCatchesTypos) {
   EXPECT_NO_THROW(b.allow_only({"engine", "seed"}));
 }
 
+TEST(CliArgs, RepeatedOptionThrowsNamingIt) {
+  // `cfs sim s27 --random=8 --random=100` used to simulate 8 vectors.
+  for (const std::vector<std::string>& argv :
+       {std::vector<std::string>{"s27", "--random=8", "--random=100"},
+        std::vector<std::string>{"s27", "--quiet", "--seed=1", "--quiet"},
+        std::vector<std::string>{"s27", "--out=", "--out=x"}}) {
+    try {
+      (void)make(argv);
+      ADD_FAILURE() << "accepted " << argv[1] << " twice";
+    } catch (const Error& e) {
+      const std::string key = argv.back().substr(0, argv.back().find('='));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  // Distinct options that share a prefix are not repeats.
+  const Args a = make({"x", "--sample=4", "--sample-every=2"});
+  EXPECT_EQ(a.get_uint("sample", 1), 4u);
+  EXPECT_EQ(a.get_uint("sample-every", 1), 2u);
+}
+
 TEST(CliArgs, EmptyValueOption) {
   const Args a = make({"x", "--out="});
   EXPECT_TRUE(a.has("out"));

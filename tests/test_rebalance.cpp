@@ -226,6 +226,41 @@ TEST(LiveWeights, AccumulationIsPartitionInvariant) {
   EXPECT_EQ(w1, w4);
 }
 
+// The auto trigger measures the load the re-cut equalizes: per shard, the
+// summed cut weight -- a fault's live elements, floored at 1 while it is
+// live -- not the shard's pool population.
+TEST(LiveWeights, ImbalanceRatioMeasuresTheCutWeight) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 24, 3);
+
+  ShardedOptions four;
+  four.num_threads = 4;
+  ShardedSim sim(c, u, four);
+  for (std::size_t i = 0; i < p.size(); ++i) sim.apply_vector(p[i]);
+
+  std::vector<std::uint64_t> w(u.size(), 0);
+  for (unsigned s = 0; s < sim.num_shards(); ++s) {
+    sim.engine(s).accumulate_live_weights(w);
+  }
+  const std::vector<Detect>& st = sim.status();
+  std::vector<std::uint64_t> load(sim.num_shards(), 0);
+  for (std::uint32_t id = 0; id < u.size(); ++id) {
+    const std::uint64_t weight =
+        st[id] == Detect::Hard ? w[id] : std::max<std::uint64_t>(w[id], 1);
+    load[sim.partition().shard_of(id)] += weight;
+  }
+  std::uint64_t total = 0, heaviest = 0;
+  for (const std::uint64_t l : load) {
+    total += l;
+    heaviest = std::max(heaviest, l);
+  }
+  ASSERT_GT(total, 0u);
+  EXPECT_DOUBLE_EQ(sim.imbalance_ratio(),
+                   static_cast<double>(heaviest) * sim.num_shards() /
+                       static_cast<double>(total));
+}
+
 TEST(Rebalance, ExplicitRepartitionKeepsEnginesValidAndBitIdentical) {
   const Circuit c = make_benchmark("s298");
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
@@ -382,6 +417,32 @@ TEST(RebalanceCampaign, DigestInvariantAcrossPolicies) {
     EXPECT_EQ(r.detections_hard, base.detections_hard);
     EXPECT_GT(r.rebalances, 0u);
   }
+}
+
+// Campaigns consult the policy once per segment, and Every fires at the
+// first segment end at least `every` vectors after the last re-cut: a
+// 97-vector sequence is one segment without checkpoints (one re-cut, where
+// a vector-count modulo would never fire), and 14 segments with a
+// checkpoint every 7.
+TEST(RebalanceCampaign, EveryFiresAtSegmentEnds) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  TestSuite t;
+  t.sequences().push_back(PatternSet::random(c.inputs().size(), 97, 23));
+
+  CampaignOptions co;
+  co.sharded.num_threads = 2;
+  co.sharded.rebalance = every_n(3);
+  const CampaignResult one = CampaignRunner(c, u, t, co).run();
+  EXPECT_EQ(one.rebalances, 1u);
+
+  const std::string ck = tmp_path("rebalance_segments.ck");
+  co.checkpoint_path = ck;
+  co.checkpoint_every = 7;
+  const CampaignResult many = CampaignRunner(c, u, t, co).run();
+  EXPECT_EQ(many.rebalances, 14u);
+  EXPECT_EQ(many.digest(), one.digest());
+  std::remove(ck.c_str());
 }
 
 TEST(RebalanceCampaign, CheckpointBetweenRebalancesResumesBitIdentical) {

@@ -5,6 +5,7 @@
 // integrity (CRC, version, shape).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -314,12 +315,86 @@ CampaignResult run_campaign(const Circuit& c, const FaultUniverse& u,
   return runner.run();
 }
 
+// The per-vector reference campaigns are held to: one shard stepped with
+// apply_vector(), its merged status diffed after every vector -- a fault's
+// status at the end of each vector is what counts.  Independent of the
+// campaign's segments and of the engines' status logs.
+CampaignResult per_vector_oracle(const Circuit& c, const FaultUniverse& u,
+                                 const TestSuite& t, Val ff_init) {
+  ShardedSim sim(c, u, ShardedOptions{});
+  CampaignResult r;
+  r.status.assign(u.size(), Detect::None);
+  r.detected_at.assign(u.size(), resil::kNotDetected);
+  std::uint64_t pos = 0;
+  for (const PatternSet& seq : t.sequences()) {
+    sim.reset(ff_init);
+    for (std::size_t i = 0; i < seq.size(); ++i, ++pos) {
+      sim.apply_vector(seq[i]);
+      const std::vector<Detect>& st = sim.status();
+      for (std::size_t id = 0; id < st.size(); ++id) {
+        if (st[id] == r.status[id]) continue;
+        if (st[id] == Detect::Hard) {
+          r.status[id] = Detect::Hard;
+          r.detected_at[id] = pos;
+          ++r.detections_hard;
+          ++r.faults_dropped;  // dropping is on by default
+        } else if (st[id] == Detect::Potential &&
+                   r.status[id] == Detect::None) {
+          r.status[id] = Detect::Potential;
+          ++r.detections_potential;
+        }
+      }
+    }
+  }
+  return r;
+}
+
+void expect_same_campaign(const CampaignResult& r, const CampaignResult& want,
+                          const std::string& at) {
+  EXPECT_EQ(r.status, want.status) << at;
+  EXPECT_EQ(r.detected_at, want.detected_at) << at;
+  EXPECT_EQ(r.digest(), want.digest()) << at;
+  EXPECT_EQ(r.detections_hard, want.detections_hard) << at;
+  EXPECT_EQ(r.detections_potential, want.detections_potential) << at;
+  EXPECT_EQ(r.faults_dropped, want.faults_dropped) << at;
+}
+
+// Whether some fault turns Potential and then Hard within one vector of
+// one engine's run (its status log, in time order): the case the
+// campaign's collapse rule exists for.
+bool has_potential_then_hard(const Circuit& c, const FaultUniverse& u,
+                             const TestSuite& t, Val ff_init) {
+  ConcurrentSim sim(c, u);
+  for (const PatternSet& seq : t.sequences()) {
+    sim.reset(ff_init);
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      sim.clear_status_log();
+      sim.apply_vector(seq[i]);
+      std::vector<std::uint32_t> potential;
+      for (const StatusChange& ch : sim.status_log()) {
+        if (ch.status == Detect::Potential) {
+          potential.push_back(ch.fault);
+        } else if (std::find(potential.begin(), potential.end(), ch.fault) !=
+                   potential.end()) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 // The campaign's sequence starts must match the plain engine path (one
 // reset() per sequence) exactly.  A tgen-trimmed suite is the sharpest
 // probe: it detects some faults solely through flip-flop site divergences
 // present in the *initial* state, which a synthetic empty-snapshot restore
 // silently skips (regression: the campaign reported 145/706 hard on a
 // generated s298 suite where the serial ground truth says 147/706).
+//
+// Segments must not matter either: at every segment length (checkpoint
+// stride) and shard count, and through budget passes, a retried throw and
+// a halt + resume, the campaign equals the per-vector oracle in status,
+// detected_at, digest and the deterministic counters.
 TEST(CampaignEquivalence, MatchesPlainEnginePathOnGeneratedTests) {
   const Circuit c = make_benchmark("s298");
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
@@ -339,6 +414,79 @@ TEST(CampaignEquivalence, MatchesPlainEnginePathOnGeneratedTests) {
     const CampaignResult r = run_campaign(c, u, t, v, opt);
     EXPECT_EQ(r.status, ref.status()) << "variant " << static_cast<int>(v);
   }
+
+  // A random suite from X flip-flops holds a fault that turns Potential
+  // and then Hard within one vector; it must count as hard only.
+  TestSuite xs;
+  xs.sequences().push_back(PatternSet::random(c.inputs().size(), 56, 22));
+  ASSERT_TRUE(has_potential_then_hard(c, u, xs, Val::X));
+  const FaultUniverse ut = FaultUniverse::all_transition(c);
+  struct Case {
+    const char* name;
+    const FaultUniverse* u;
+    const TestSuite* t;
+    Val ff_init;
+  };
+  const Case cases[] = {{"stuck-at", &u, &t, Val::Zero},
+                        {"transition", &ut, &t, Val::Zero},
+                        {"potential-then-hard", &u, &xs, Val::X}};
+  const std::string path = tmp_path("ck_segments.bin");
+  for (const Case& k : cases) {
+    const CampaignResult want =
+        per_vector_oracle(c, *k.u, *k.t, k.ff_init);
+    for (const std::uint64_t every : {0u, 1u, 5u, 16u}) {
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        CampaignOptions opt = variant_options(Variant::V, threads);
+        opt.ff_init = k.ff_init;
+        if (every != 0) {
+          opt.checkpoint_path = path;
+          opt.checkpoint_every = every;
+        }
+        expect_same_campaign(
+            run_campaign(c, *k.u, *k.t, Variant::V, opt), want,
+            std::string(k.name) + " every=" + std::to_string(every) +
+                " threads=" + std::to_string(threads));
+      }
+    }
+  }
+
+  const CampaignResult want = per_vector_oracle(c, u, xs, Val::X);
+  CampaignOptions base = variant_options(Variant::V, 2);
+  base.checkpoint_path = path;
+  base.checkpoint_every = 16;
+
+  // A budget that forces more passes replays whole segments.
+  CampaignOptions budget = base;
+  budget.sharded.csim.max_elements =
+      run_campaign(c, u, xs, Variant::V, base).peak_elements / 3;
+  const CampaignResult passes = run_campaign(c, u, xs, Variant::V, budget);
+  EXPECT_GT(passes.passes, 1u);
+  expect_same_campaign(passes, want, "budget");
+
+  // A throw mid-segment is retried by replaying the segment.
+  FaultInjector inj;
+  inj.add(InjectionSpec{InjectionSpec::Action::Throw, 1, 21, 0, 1});
+  CampaignOptions contained = base;
+  contained.sharded.resil.max_retries = 1;
+  contained.sharded.resil.injector = &inj;
+  const CampaignResult retried =
+      run_campaign(c, u, xs, Variant::V, contained);
+  EXPECT_EQ(inj.fired(), 1u);
+  EXPECT_EQ(retried.shard_retries, 1u);
+  expect_same_campaign(retried, want, "retry");
+
+  // A halt inside the checkpoint stride ends that segment early; the
+  // resumed tail completes the same campaign.
+  CampaignOptions first = base;
+  first.halt_after = 21;
+  const CampaignResult head = run_campaign(c, u, xs, Variant::V, first);
+  ASSERT_TRUE(head.halted);
+  EXPECT_EQ(head.vectors, 21u);
+  CampaignOptions second = variant_options(Variant::V, 4);
+  second.resume_path = path;
+  expect_same_campaign(run_campaign(c, u, xs, Variant::V, second), want,
+                       "halt+resume");
+  std::remove(path.c_str());
 }
 
 class CheckpointResume
@@ -482,6 +630,9 @@ TEST(Containment, InjectedThrowIsRetriedAndResultUnchanged) {
   const CampaignResult clean =
       run_campaign(c, u, t, Variant::MV, variant_options(Variant::MV, 2));
 
+  // Retries count failed segment attempts.  Without checkpoints the first
+  // sequence is one segment: its first attempt fails on both shards (once),
+  // its second on shard 0 again, its third succeeds.
   FaultInjector inj;
   inj.add(InjectionSpec{InjectionSpec::Action::Throw, 1, 5, 0, 1});
   inj.add(InjectionSpec{InjectionSpec::Action::Throw, 0, 9, 0, 2});
@@ -491,11 +642,30 @@ TEST(Containment, InjectedThrowIsRetriedAndResultUnchanged) {
   const CampaignResult r = run_campaign(c, u, t, Variant::MV, opt);
 
   EXPECT_EQ(inj.fired(), 3u);
-  EXPECT_GE(r.shard_retries, 3u);
+  EXPECT_EQ(r.shard_retries, 2u);
   EXPECT_EQ(r.shard_requeues, 0u);
   EXPECT_EQ(r.digest(), clean.digest());
   EXPECT_EQ(r.status, clean.status);
   EXPECT_EQ(r.detected_at, clean.detected_at);
+
+  // Checkpoints every 4 vectors put the throws in different segments
+  // ([4, 8) and [8, 12)), so each failing attempt is retried on its own.
+  FaultInjector split;
+  split.add(InjectionSpec{InjectionSpec::Action::Throw, 1, 5, 0, 1});
+  split.add(InjectionSpec{InjectionSpec::Action::Throw, 0, 9, 0, 2});
+  const std::string path = tmp_path("ck_split_throws.bin");
+  opt.sharded.resil.injector = &split;
+  opt.checkpoint_path = path;
+  opt.checkpoint_every = 4;
+  const CampaignResult rs = run_campaign(c, u, t, Variant::MV, opt);
+  std::remove(path.c_str());
+
+  EXPECT_EQ(split.fired(), 3u);
+  EXPECT_GE(rs.shard_retries, 3u);
+  EXPECT_EQ(rs.shard_requeues, 0u);
+  EXPECT_EQ(rs.digest(), clean.digest());
+  EXPECT_EQ(rs.status, clean.status);
+  EXPECT_EQ(rs.detected_at, clean.detected_at);
 }
 
 TEST(Containment, RepeatedFailurePastRetryBudgetPropagates) {
@@ -594,6 +764,28 @@ TEST(Containment, RetryAndBudgetShareOneBoundary) {
       EXPECT_LE(r.shard_retries, 2u);
     }
   }
+}
+
+// A requeue parks the hung shard's engine and rebuilds the slot; the slot
+// keeps the parked engine's high-water mark rather than restarting from
+// the rebuilt engine's.
+TEST(Containment, RequeueKeepsTheParkedEnginesPeak) {
+  const Circuit c = make_benchmark("s298");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(c.inputs().size(), 12, 9);
+
+  FaultInjector inj;
+  inj.add(InjectionSpec{InjectionSpec::Action::Stall, 0, 10, 250, 1});
+  ShardedOptions so;
+  so.num_threads = 2;
+  so.resil.deadline_ms = 50;
+  so.resil.injector = &inj;
+  ShardedSim sim(c, u, so);
+  for (std::size_t i = 0; i < 10; ++i) sim.apply_vector(p[i]);
+  const std::size_t before = sim.stats().per_engine[0].peak_elements;
+  EXPECT_THROW(sim.apply_vector(p[10]), resil::ShardDeadlineExceeded);
+  EXPECT_GE(sim.stats().per_engine[0].peak_elements, before);
+  EXPECT_GT(before, sim.engine(0).peak_elements());
 }
 
 TEST(Containment, StallPastRetryBudgetPropagates) {

@@ -1,6 +1,6 @@
 // Minimal argument parsing for the cfs command-line tool: positional
 // arguments plus --key=value / --flag options, with typed accessors and
-// unknown-option detection.
+// unknown-option detection.  Each option may be given once.
 #pragma once
 
 #include <charconv>
@@ -18,17 +18,20 @@ namespace cfs::cli {
 
 class Args {
  public:
+  /// Throws on an option given twice: no reading of a repeat is the
+  /// obvious one.
   Args(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
       const std::string_view a = argv[i];
       if (a.rfind("--", 0) == 0) {
         const std::size_t eq = a.find('=');
-        if (eq == std::string_view::npos) {
-          opts_.emplace_back(std::string(a.substr(2)), "");
-        } else {
-          opts_.emplace_back(std::string(a.substr(2, eq - 2)),
-                             std::string(a.substr(eq + 1)));
+        const std::string_view key =
+            a.substr(2, eq == a.npos ? a.npos : eq - 2);
+        if (has(key)) {
+          throw Error("option --" + std::string(key) + " given more than once");
         }
+        opts_.emplace_back(std::string(key),
+                           eq == a.npos ? "" : std::string(a.substr(eq + 1)));
       } else {
         positional_.emplace_back(a);
       }

@@ -257,9 +257,9 @@ int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
   resil::CampaignOptions copt;
   copt.ff_init = ff_init;
   copt.sharded.num_threads = threads;
-  // Campaigns replay vector-by-vector (checkpoint boundaries demand it), so
-  // the scalar good machine runs regardless; accepting the flag keeps one
-  // command line valid across plain and campaign runs.
+  // Campaigns stream segments through apply_segment, which has no packed
+  // good machine, so the scalar one runs regardless; accepting the flag
+  // keeps one command line valid across plain and campaign runs.
   copt.sharded.batch_width = batch;
   copt.sharded.rebalance = parse_rebalance(args);
   copt.sharded.csim.split_lists = engine == "csim-mv" || engine == "csim-v";

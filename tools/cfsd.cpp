@@ -7,8 +7,8 @@
 // admitted session checkpoints into --state-dir, a restarted daemon
 // re-admits and resumes unfinished sessions automatically, and clients
 // reconnect with `cfs connect`.  SIGTERM/SIGINT drain gracefully: running
-// sessions stop at their next vector boundary, write a final checkpoint,
-// and stay resumable.
+// sessions stop at their next segment end, write a final checkpoint, and
+// stay resumable.
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -47,7 +47,7 @@ int usage() {
       "  --queue-deadline-ms=N  max time a queued open may wait\n"
       "  --checkpoint-every=N   checkpoint stride in vectors\n"
       "  --sample-every=N       update-stream sampling stride\n"
-      "  --retries=N            shard containment retries per vector\n"
+      "  --retries=N            shard containment retries per segment\n"
       "  --stall-ms=N           per-attempt shard watchdog deadline\n"
       "  --inject=SPEC          chaos injection (see cfs sim --inject)\n"
       "  --trace=FILE           chrome://tracing file with session tracks\n");
@@ -58,8 +58,8 @@ int usage() {
 
 int main(int argc, char** argv) {
   using namespace cfs;
-  cli::Args args(argc, argv, 1);
   try {
+    const cli::Args args(argc, argv, 1);
     args.allow_only({"state-dir", "socket", "mem-budget", "session-elements",
                      "max-sessions", "queue-depth", "queue-deadline-ms",
                      "checkpoint-every", "sample-every", "retries",
