@@ -1,6 +1,7 @@
 #include "core/concurrent_sim.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "faults/transition_model.h"
 #include "util/error.h"
@@ -51,6 +52,7 @@ ConcurrentSim::ConcurrentSim(std::shared_ptr<const SimModel> model,
   for (std::uint32_t id = 0; id < nf; ++id) active += excluded_[id] == 0;
 
   if (transition_mode_) prev_pin_val_.assign(nf, Val::X);
+  index_owned_faults();
 
   good_state_.resize(n);
   head_vis_.assign(n, 0);
@@ -384,9 +386,53 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
   for (unsigned p = 0; p < nf; ++p) {
     cursor_init_quiet(fc[p], &head_vis_[fanins[p]]);
   }
+  // Site faults visited on their own: the set bits of the gate's
+  // activation row under its good inputs (DESIGN.md section 22), walked in
+  // 64-bit chunks of the sorted site span (one chunk whenever the gate has
+  // rows; a gate without rows answers all ones).  A quiet site fault with
+  // no divergent fanin would only reproduce the good machine here.  In
+  // transition pass 1 a candidate also needs its previous value to hold
+  // the pin; in pass 2 every transition fires, so none is active alone.
+  // The rebuild_lists oracle walks every site fault, as the merge did
+  // before the rows existed.
   const auto site = model_->site_faults(g);
-  std::size_t si = 0;
-  while (si < site.size() && skip_site(site[si])) ++si;
+  const bool full_walk = opt_.rebuild_lists;
+  const bool hold_check = transition_mode_ && pass1_ && !full_walk;
+  const std::size_t site_n =
+      transition_mode_ && !pass1_ && !full_walk ? 0 : site.size();
+  const auto chunk_bits = [](std::size_t left) {
+    return left >= 64 ? ~std::uint64_t{0}
+                      : (std::uint64_t{1} << left) - 1;
+  };
+  std::size_t chunk = 0;  // site index of the candidate word's bit 0
+  std::uint64_t cand =
+      chunk_bits(site_n) &
+      (full_walk ? ~std::uint64_t{0}
+                 : model_->site_activation(g, state_input_index(good, nf)));
+  const auto next_site = [&]() -> std::uint32_t {
+    for (;;) {
+      while (cand == 0) {
+        chunk += 64;
+        if (chunk >= site_n) return kSentinelId;
+        cand = chunk_bits(site_n - chunk);
+      }
+      const std::uint32_t id =
+          site[chunk + static_cast<unsigned>(std::countr_zero(cand))];
+      cand &= cand - 1;
+      if (skip_site(id)) continue;
+      if (hold_check) {
+        const FaultDescriptor& d = descr_[id];
+        const Val cv = state_get(good, d.site_pin);
+        if (transition_hold_value(prev_pin_val_[id], cv, d.forced) == cv) {
+          continue;
+        }
+      }
+      return id;
+    }
+  };
+  std::uint32_t next = next_site();
+  const std::uint32_t site_lo = site.empty() ? kSentinelId : site.front();
+  const std::uint32_t site_hi = site.empty() ? 0 : site.back();
 
   scratch_vis_.clear();
   scratch_inv_.clear();
@@ -400,12 +446,12 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
   // state, evaluate it, and classify it.  Only *site* faults of g ever
   // consult their descriptor (pin forcing, macro tables, output forcing):
   // a fault sited elsewhere is, at g, a plain gate evaluation of its
-  // assembled pin state.  Site membership needs no descriptor load either
-  // -- the site span is always one of the merge sources, so the span
-  // cursor `si` identifies every sited element, including one looping back
-  // through flip-flops into a fanin list.
+  // assembled pin state.  Site membership needs no descriptor load either:
+  // an active site fault comes from `next`, and a fanin element whose
+  // effect looped back through flip-flops to its own site is found in the
+  // sorted site span (a range check first, so a search is rare).
   for (;;) {
-    std::uint32_t m = si < site.size() ? site[si] : kSentinelId;
+    std::uint32_t m = next;
     for (unsigned p = 0; p < nf; ++p) m = std::min(m, fc[p].id);
     if (m == kSentinelId) break;
 #if CFS_OBS_ENABLED
@@ -428,10 +474,12 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
       }
     }
     Val out;
-    if (si < site.size() && site[si] == m) {
+    if (m == next) {
       out = eval_element(g, m, st);
-      ++si;
-      while (si < site.size() && skip_site(site[si])) ++si;
+      next = next_site();
+    } else if (m >= site_lo && m <= site_hi &&
+               std::binary_search(site.begin(), site.end(), m)) {
+      out = eval_element(g, m, st);
     } else {
       ++elements_evaluated_;
       out = eval_gate(g, st);
@@ -830,19 +878,18 @@ void ConcurrentSim::set_suspended(const std::vector<std::uint8_t>& suspended) {
   if (!suspended.empty() && suspended.size() != nf) {
     throw Error("suspension mask does not match the fault universe");
   }
-  if (base_excluded_.empty()) {
-    if (suspended.empty()) {
-      excluded_.assign(nf, 0);
-    } else {
-      excluded_ = suspended;
-    }
-  } else {
-    excluded_ = base_excluded_;
-    for (std::size_t i = 0; i < suspended.size(); ++i) {
-      if (suspended[i]) excluded_[i] = 1;
-    }
+  std::vector<std::uint8_t> next =
+      base_excluded_.empty() ? std::vector<std::uint8_t>(nf, 0)
+                             : base_excluded_;
+  for (std::size_t i = 0; i < suspended.size(); ++i) {
+    if (suspended[i]) next[i] = 1;
   }
+  // Unchanged (a repartition reapplies an empty overlay right after
+  // set_shard): the site counts and the owned-fault index still stand.
+  if (next == excluded_) return;
+  excluded_ = std::move(next);
   recount_site_live();
+  index_owned_faults();
 }
 
 void ConcurrentSim::set_shard(const FaultPartition& part,
@@ -860,6 +907,7 @@ void ConcurrentSim::set_shard(const FaultPartition& part,
   }
   excluded_ = base_excluded_;
   recount_site_live();
+  index_owned_faults();
 }
 
 void ConcurrentSim::adopt_status(const std::vector<Detect>& status) {
@@ -1140,17 +1188,36 @@ std::size_t ConcurrentSim::apply_vector(std::span<const Val> pi_vals) {
   return newly;
 }
 
-void ConcurrentSim::update_prev_values() {
-  // For every transition fault, the next frame's "previous value" is the
-  // pass-2 settled value of its site pin *in its own machine*: the driver's
-  // faulty value if the fault is visible there, the good value otherwise.
+void ConcurrentSim::index_owned_faults() {
+  own_drivers_.clear();
+  own_off_.clear();
+  own_faults_.clear();
+  if (!transition_mode_) return;
   for (GateId d = 0; d < c_->num_gates(); ++d) {
-    const auto group = model_->faults_by_driver(d);
-    if (group.empty()) continue;
-    const Val good = state_out(good_state_[d]);
-    for (std::uint32_t id : group) {
-      if (!excluded_[id]) prev_pin_val_[id] = good;
+    const auto begin = static_cast<std::uint32_t>(own_faults_.size());
+    for (const std::uint32_t id : model_->faults_by_driver(d)) {
+      if (excluded_[id] == 0) own_faults_.push_back(id);
     }
+    if (own_faults_.size() != begin) {
+      own_drivers_.push_back(d);
+      own_off_.push_back(begin);
+    }
+  }
+  own_off_.push_back(static_cast<std::uint32_t>(own_faults_.size()));
+}
+
+void ConcurrentSim::update_prev_values() {
+  // For every transition fault this engine simulates, the next frame's
+  // "previous value" is the pass-2 settled value of its site pin *in its
+  // own machine*: the driver's faulty value if the fault is visible there,
+  // the good value otherwise.  Other shards' faults are never read here,
+  // and a sharded snapshot takes each fault's entry from its owner.
+  for (std::size_t k = 0; k < own_drivers_.size(); ++k) {
+    const GateId d = own_drivers_[k];
+    const std::span<const std::uint32_t> group(
+        own_faults_.data() + own_off_[k], own_off_[k + 1] - own_off_[k]);
+    const Val good = state_out(good_state_[d]);
+    for (const std::uint32_t id : group) prev_pin_val_[id] = good;
     Cursor cu;
     cursor_init(cu, &head_vis_[d]);
     std::size_t gi = 0;
@@ -1288,6 +1355,9 @@ std::size_t ConcurrentSim::state_bytes() const {
   b += status_.capacity() * sizeof(Detect);
   b += excluded_.capacity();
   b += prev_pin_val_.capacity() * sizeof(Val);
+  b += own_drivers_.capacity() * sizeof(GateId);
+  b += own_off_.capacity() * sizeof(std::uint32_t);
+  b += own_faults_.capacity() * sizeof(std::uint32_t);
   b += held_flag_.capacity();
   b += queue_.bytes();
   return b;

@@ -11,9 +11,12 @@
 //    faulty lookup table of a functional fault.
 //  - Zero-delay levelized event-driven simulation: only gate ids are
 //    scheduled; a processed gate performs one multi-list merge over its
-//    fanins' (visible) fault lists, its own lists, and its local site
-//    faults, evaluating each faulty machine by table lookup and deciding
-//    divergence/convergence by comparing packed states.
+//    fanins' (visible) fault lists, its own lists, and those of its local
+//    site faults that can differ from the good machine under its good
+//    inputs (the model's activation rows; a quiet site fault is not
+//    visited unless it arrives on a fanin list), evaluating each faulty
+//    machine by table lookup and deciding divergence/convergence by
+//    comparing packed states (DESIGN.md section 22).
 //
 // Improvements (paper §2.2): event-driven fault dropping, visible/invisible
 // list splitting, and macro mode (functional faults via per-descriptor
@@ -26,7 +29,7 @@
 // transition mode: two passes per vector -- pass 1 holds delayed transitions
 // at their previous value (Table 1) and is what POs and FF masters sample,
 // pass 2 fires every transition to produce the next frame's "previous"
-// values.
+// values, swept after pass 2 for the faults this engine simulates only.
 //
 // A gate no machine of this engine can change is not merged at all:
 // merge_gate() returns at once when none of the gate's site faults can
@@ -44,12 +47,12 @@
 // (DESIGN.md §17).
 //
 // The engine is split into an immutable SimModel (core/sim_model.h) --
-// descriptors, site-fault indices, transition groupings -- and this class,
-// which is pure *run state* (fault lists, pool, good machine, queue,
-// detection status).  Engines constructed over the same shared model never
-// write to it, so they may run concurrently; a fault shard (faults/
-// partition.h) restricts an engine to a subset of the universe for the
-// multi-threaded ShardedSim driver.
+// descriptors, site-fault indices, activation rows, transition groupings
+// -- and this class, which is pure *run state* (fault lists, pool, good
+// machine, queue, detection status).  Engines constructed over the same
+// shared model never write to it, so they may run concurrently; a fault
+// shard (faults/partition.h) restricts an engine to a subset of the
+// universe for the multi-threaded ShardedSim driver.
 #pragma once
 
 #include <cstdint>
@@ -498,7 +501,9 @@ class ConcurrentSim {
   // site_live_ recomputed for every gate from excluded_ and status_.
   void recount_site_live();
 
-  // Transition-mode helper.
+  // Transition-mode helpers: rebuild own_drivers_/own_off_/own_faults_
+  // from excluded_, and the end-of-vector previous-value sweep over them.
+  void index_owned_faults();
   void update_prev_values();
 
   std::shared_ptr<const SimModel> model_;
@@ -535,7 +540,16 @@ class ConcurrentSim {
   LevelQueue queue_;
 
   // Transition mode: per-fault previous (pass-2 settled) site-pin value.
+  // Only the entries of faults this engine simulates are kept current.
   std::vector<Val> prev_pin_val_;
+  // Transition mode: the drivers of the site pins of the faults this engine
+  // simulates, and under each driver those faults in ascending order,
+  // CSR-flattened (own_off_ has one offset per driver plus an end).  The
+  // previous-value sweep walks only these.  Rebuilt wherever excluded_
+  // changes: the constructor, set_suspended() and set_shard().
+  std::vector<GateId> own_drivers_;
+  std::vector<std::uint32_t> own_off_;
+  std::vector<std::uint32_t> own_faults_;
   bool pass1_ = true;
   // Gates whose site held a delayed transition during pass 1; they must be
   // re-merged when the transitions fire in pass 2.

@@ -25,8 +25,10 @@ struct CsimOptions {
   bool drop_detected = true;
 
   /// Naive reference path: tear down and rebuild every destination list on
-  /// each merge instead of updating it in place.  Slower by construction --
-  /// kept as the oracle for the differential merge tests.
+  /// each merge instead of updating it in place, never skip a merge, and
+  /// evaluate every site fault of a merged gate instead of only those its
+  /// activation rows mark.  Slower by construction -- kept as the oracle
+  /// for the differential merge tests.
   bool rebuild_lists = false;
 
   /// Oracle evaluation path: fold over pins with eval_kind instead of the

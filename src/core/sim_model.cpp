@@ -1,8 +1,43 @@
 #include "core/sim_model.h"
 
+#include <array>
+
 #include "util/error.h"
+#include "util/packed_state.h"
 
 namespace cfs {
+
+namespace {
+
+// Packed good input index of each activation row: base-3 digit p of the
+// row number is pin p's good value (0, X, 1), the inverse of the header's
+// row map.  A k-pin gate uses rows [0, 3^k), whose digits above k are 0,
+// i.e. pin code 0 outside the gate's pins.
+constexpr std::array<std::uint8_t, 81> kRowInput = [] {
+  constexpr std::uint8_t kCode[3] = {code(Val::Zero), code(Val::X),
+                                     code(Val::One)};
+  std::array<std::uint8_t, 81> t{};
+  for (unsigned r = 0; r < t.size(); ++r) {
+    unsigned in = 0;
+    for (unsigned p = 0, digits = r; p < SimModel::kMaxRowPins;
+         ++p, digits /= 3) {
+      in |= unsigned{kCode[digits % 3]} << (2 * p);
+    }
+    t[r] = static_cast<std::uint8_t>(in);
+  }
+  return t;
+}();
+
+// Append `rows`, narrowed to T, to `dst`; returns the first row's index.
+template <class T>
+std::uint32_t append_rows(std::vector<T>& dst,
+                          const std::vector<std::uint64_t>& rows) {
+  const auto off = static_cast<std::uint32_t>(dst.size());
+  for (const std::uint64_t r : rows) dst.push_back(static_cast<T>(r));
+  return off;
+}
+
+}  // namespace
 
 SimModel::SimModel(const Circuit& c, const FaultUniverse& u,
                    const MacroFaultMap* mmap)
@@ -90,6 +125,83 @@ SimModel::SimModel(const Circuit& c, const FaultUniverse& u,
       driver_flat_[cursor[site_driver_[id]]++] = id;  // ascending per driver
     }
   }
+  build_activation_rows();
+}
+
+// One row per good input combination over {0, X, 1}, 3^k rows for a
+// k-pin gate, each row as narrow as the gate's site count allows.
+void SimModel::build_activation_rows() {
+  const Circuit& c = *c_;
+  row_ref_.assign(c.num_gates(), RowRef{});
+  std::vector<std::uint64_t> bits;
+  std::vector<Val> row_out;  // good output of each row
+  for (GateId g = 0; g < c.num_gates(); ++g) {
+    const auto site = site_faults(g);
+    const unsigned k = c.num_fanins(g);
+    if (!is_combinational(c.kind(g)) || site.empty() || site.size() > 64 ||
+        k > kMaxRowPins) {
+      continue;
+    }
+    unsigned rows = 1;
+    for (unsigned p = 0; p < k; ++p) rows *= 3;
+    row_out.resize(rows);
+    for (unsigned r = 0; r < rows; ++r) {
+      row_out[r] = c.eval(g, GateState{kRowInput[r]});
+    }
+    // One column per site fault: the rows where it, with every pin at its
+    // good value, differs from the good machine -- ConcurrentSim::
+    // eval_element's rules (pin forcing, macro table, output forcing),
+    // set wherever the merge would emit an element, because the output or
+    // a pin differs.  Good states never hold code 1, so pin codes compare
+    // directly.
+    bits.assign(rows, 0);
+    for (std::size_t j = 0; j < site.size(); ++j) {
+      const FaultDescriptor& d = descr_[site[j]];
+      if (d.site_pin != kFaultOutPin) {
+        // A pin fault differs where its pin does not already hold the
+        // value it leaves unchanged: a stuck-at's forced value, or the
+        // complement of a transition's target.  A transition is then only
+        // a candidate: its previous value decides at run time.  With the
+        // pin unchanged, a table may still give another output.
+        const unsigned sh = 2u * d.site_pin;
+        const unsigned keep = code(
+            d.type == FaultType::Transition ? v_not(d.forced) : d.forced);
+        for (unsigned r = 0; r < rows; ++r) {
+          const unsigned in = kRowInput[r];
+          const bool differs =
+              ((in >> sh) & 3u) != keep ||
+              (d.table != nullptr && from_code(d.table[in]) != row_out[r]);
+          bits[r] |= std::uint64_t{differs} << j;
+        }
+      } else if (d.table != nullptr) {
+        // A functional fault: its table gives another output.
+        for (unsigned r = 0; r < rows; ++r) {
+          bits[r] |=
+              std::uint64_t{from_code(d.table[kRowInput[r]]) != row_out[r]}
+              << j;
+        }
+      } else if (d.type == FaultType::StuckAt) {
+        // A stuck-at output: the forced value is not the good output.
+        for (unsigned r = 0; r < rows; ++r) {
+          bits[r] |= std::uint64_t{d.forced != row_out[r]} << j;
+        }
+      }
+    }
+    RowRef& ref = row_ref_[g];
+    if (site.size() <= 8) {
+      ref = {append_rows(rows8_, bits), 8};
+    } else if (site.size() <= 16) {
+      ref = {append_rows(rows16_, bits), 16};
+    } else if (site.size() <= 32) {
+      ref = {append_rows(rows32_, bits), 32};
+    } else {
+      ref = {append_rows(rows64_, bits), 64};
+    }
+  }
+  rows8_.shrink_to_fit();
+  rows16_.shrink_to_fit();
+  rows32_.shrink_to_fit();
+  rows64_.shrink_to_fit();
 }
 
 std::size_t SimModel::bytes() const {
@@ -99,6 +211,11 @@ std::size_t SimModel::bytes() const {
   b += site_driver_.capacity() * sizeof(GateId);
   b += driver_off_.capacity() * sizeof(std::uint32_t);
   b += driver_flat_.capacity() * sizeof(std::uint32_t);
+  b += row_ref_.capacity() * sizeof(RowRef);
+  b += rows8_.capacity() * sizeof(std::uint8_t);
+  b += rows16_.capacity() * sizeof(std::uint16_t);
+  b += rows32_.capacity() * sizeof(std::uint32_t);
+  b += rows64_.capacity() * sizeof(std::uint64_t);
   if (mmap_) b += mmap_->bytes();
   return b;
 }

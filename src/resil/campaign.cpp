@@ -355,20 +355,23 @@ CampaignResult CampaignRunner::run() {
           std::this_thread::sleep_for(
               std::chrono::milliseconds(std::uint64_t{opt_.sleep_ms} * n));
         }
+        // A halt or stop persists the boundary just reached so the run
+        // resumes bit-identically -- unless the periodic write already
+        // saved this very boundary.
+        bool saved = false;
         if (!opt_.checkpoint_path.empty() && opt_.checkpoint_every != 0 &&
             pos_ % opt_.checkpoint_every == 0) {
           write_checkpoint();
+          saved = true;
         }
-        if (opt_.halt_after != 0 && pos_ >= opt_.halt_after) {
-          if (!opt_.checkpoint_path.empty()) write_checkpoint();
-          return finish(/*halted=*/true);
-        }
-        if (opt_.stop != nullptr &&
-            opt_.stop->load(std::memory_order_relaxed)) {
-          // Graceful drain: persist the boundary just reached so the session
-          // resumes bit-identically, then report halted+stopped.
-          if (!opt_.checkpoint_path.empty()) write_checkpoint();
-          return finish(/*halted=*/true, /*stopped=*/true);
+        const bool halt = opt_.halt_after != 0 && pos_ >= opt_.halt_after;
+        const bool stop =
+            !halt && opt_.stop != nullptr &&
+            opt_.stop->load(std::memory_order_relaxed);
+        if (halt || stop) {
+          // Graceful drain on a stop: report halted+stopped.
+          if (!opt_.checkpoint_path.empty() && !saved) write_checkpoint();
+          return finish(/*halted=*/true, /*stopped=*/stop);
         }
       }
     }

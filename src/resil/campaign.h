@@ -81,7 +81,8 @@ struct CampaignOptions {
 
   /// Cooperative stop flag (not owned, may be null).  Checked at every
   /// segment end; when it reads true the campaign writes a final checkpoint
-  /// (if a path is set) and returns with halted+stopped set -- the
+  /// (if a path is set and the periodic write did not just save the same
+  /// boundary) and returns with halted+stopped set -- the
   /// graceful-drain primitive the service layer builds SIGTERM handling on.
   /// A stop lands at most a segment later: with a timeline sampling every
   /// N vectors, within N vectors.
@@ -101,8 +102,9 @@ struct CampaignOptions {
 
   /// Test hooks.  halt_after stops the campaign after N cumulative vectors
   /// (0 = run to completion) -- with a checkpoint path set, a final
-  /// checkpoint is written first, so halt+resume mimics kill+resume
-  /// in-process.  sleep_ms stalls for that long per vector, once after
+  /// checkpoint is written first (once: a halt on a checkpoint_every
+  /// boundary reuses the periodic write), so halt+resume mimics
+  /// kill+resume in-process.  sleep_ms stalls for that long per vector, once after
   /// each segment (paces the campaign so an external kill lands mid-run
   /// deterministically enough to test).
   std::uint64_t halt_after = 0;

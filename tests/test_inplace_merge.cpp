@@ -1,7 +1,10 @@
 // Differential check for the in-place fault-list update: the production
 // engine patches destination lists element by element (apply_list_inplace),
 // while CsimOptions::rebuild_lists selects the naive tear-down-and-rebuild
-// reference the in-place path replaced.  Both must agree on *everything*
+// reference the in-place path replaced.  The reference also walks every
+// site fault at every merge, where the production merge visits only those
+// its activation rows and the transition pass rules mark (DESIGN.md
+// section 22).  Both must agree on *everything*
 // observable -- per-vector detection counts, the exact detection event
 // order, the final status, and the per-gate visible sequences -- across
 // random circuits, all four engine variants, transition mode, and the

@@ -398,24 +398,53 @@ TEST(RebalanceGrid, TransitionModeStatusInvariant) {
 // Campaign composition: digest invariance, checkpoint/resume
 // ---------------------------------------------------------------------------
 
+// Re-cuts move faults between engines mid-run, so each input runs at
+// several shards under two policies against its 1-shard campaign.  The
+// transition input re-cuts at every 4-vector checkpoint segment: a newly
+// owned fault's previous pin value must follow it into the new shard's
+// end-of-vector sweep, or the later frames read a stale value.
 TEST(RebalanceCampaign, DigestInvariantAcrossPolicies) {
-  const Circuit c = make_benchmark("s298");
-  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
-  TestSuite t;
-  t.sequences().push_back(PatternSet::random(c.inputs().size(), 48, 21));
+  struct Input {
+    const char* circuit;
+    bool transition;
+    unsigned threads;
+    std::size_t vectors;
+    std::uint64_t seed;
+    std::uint64_t checkpoint_every;
+    Val ff_init;
+  };
+  for (const Input& in : {Input{"s298", false, 2, 48, 21, 0, Val::X},
+                          Input{"s1494", true, 4, 256, 9, 4, Val::Zero}}) {
+    SCOPED_TRACE(in.circuit);
+    const Circuit c = make_benchmark(in.circuit);
+    const FaultUniverse u = in.transition ? FaultUniverse::all_transition(c)
+                                          : FaultUniverse::all_stuck_at(c);
+    TestSuite t;
+    t.sequences().push_back(
+        PatternSet::random(c.inputs().size(), in.vectors, in.seed));
 
-  CampaignOptions off;
-  off.sharded.num_threads = 2;
-  const CampaignResult base = CampaignRunner(c, u, t, off).run();
+    CampaignOptions one;
+    one.ff_init = in.ff_init;
+    const CampaignResult base = CampaignRunner(c, u, t, one).run();
+    ASSERT_GT(base.detections_hard, 0u);
 
-  for (const RebalancePolicy& rp : {auto_policy(1.0, 1), every_n(4)}) {
-    CampaignOptions co;
-    co.sharded.num_threads = 2;
-    co.sharded.rebalance = rp;
-    const CampaignResult r = CampaignRunner(c, u, t, co).run();
-    EXPECT_EQ(r.digest(), base.digest());
-    EXPECT_EQ(r.detections_hard, base.detections_hard);
-    EXPECT_GT(r.rebalances, 0u);
+    const std::string ck = tmp_path("rebalance_policies.ck");
+    for (const RebalancePolicy& rp : {auto_policy(1.0, 1), every_n(4)}) {
+      CampaignOptions co = one;
+      co.sharded.num_threads = in.threads;
+      co.sharded.rebalance = rp;
+      if (in.checkpoint_every != 0) {
+        co.checkpoint_path = ck;
+        co.checkpoint_every = in.checkpoint_every;
+      }
+      const CampaignResult r = CampaignRunner(c, u, t, co).run();
+      EXPECT_EQ(r.digest(), base.digest());
+      EXPECT_EQ(r.status, base.status);
+      EXPECT_EQ(r.detected_at, base.detected_at);
+      EXPECT_EQ(r.detections_hard, base.detections_hard);
+      EXPECT_GT(r.rebalances, 0u);
+    }
+    std::remove(ck.c_str());
   }
 }
 

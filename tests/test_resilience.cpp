@@ -587,6 +587,19 @@ TEST(CheckpointResume, PeriodicCheckpointsAreWritten) {
   const CampaignResult done = runner2.run();
   EXPECT_EQ(done.vectors, 0u);
   EXPECT_EQ(done.digest(), r.digest());
+
+  // A halt on a periodic boundary finds it already saved: vectors 8 and
+  // 16 make 2 writes, not 3, and the resume completes the same campaign.
+  CampaignOptions halt = opt;
+  halt.halt_after = 16;
+  const CampaignResult head = CampaignRunner(c, u, t, halt).run();
+  ASSERT_TRUE(head.halted);
+  EXPECT_EQ(head.checkpoints_written, 2u);
+  const CampaignResult tail = CampaignRunner(c, u, t, res).run();
+  EXPECT_EQ(tail.vectors, t.total_vectors() - 16);
+  EXPECT_EQ(tail.digest(), r.digest());
+  EXPECT_EQ(tail.status, r.status);
+  EXPECT_EQ(tail.detected_at, r.detected_at);
   std::remove(path.c_str());
 }
 
